@@ -18,11 +18,14 @@
 //!   may fail transiently, tear the write, corrupt the payload, or crash.
 //! * On the file backend, each block is stored with an 8-byte checksum of
 //!   its payload ([`crate::block_checksum`]) at a fixed slot after the
-//!   block's full capacity; every read verifies it and surfaces
-//!   [`EmError::Corrupt`] on mismatch (this is what catches torn writes and
-//!   silent corruption). The memory backend has no checksums — in-flight
-//!   read corruption there is silent, which is exactly the danger checksums
-//!   exist to remove.
+//!   block's full capacity. A block moves in one pass: a write encodes the
+//!   records and the checksum into one stride-sized buffer and writes it
+//!   with one call; a read fetches the whole stride with one call, verifies
+//!   the checksum and decodes the records from the same bytes. A mismatch,
+//!   or a file that ends inside the stride, surfaces [`EmError::Corrupt`]
+//!   (this is what catches torn writes, truncation and silent corruption).
+//!   The memory backend has no checksums — in-flight read corruption there
+//!   is silent, which is exactly the danger checksums exist to remove.
 //! * Retryable failures (transient errors, checksum misses) are retried
 //!   under the context's [`crate::RetryPolicy`]; every failed-then-retried
 //!   attempt is charged to [`crate::Counters::retries`] and its backoff to
@@ -38,9 +41,10 @@
 //! When the context has a [`crate::BlockCache`], a read that hits the cache
 //! is still charged one *logical* I/O (`reads` — the model's currency) but
 //! no *physical* transfer happens: the fault plan is not consulted and
-//! `physical_reads` does not move. Writes are write-through (every write is
-//! physical) and invalidate any cached frame, so persisted corruption is
-//! still caught by the next physical read.
+//! `physical_reads` does not move. A miss on the file backend fills the
+//! frame with the payload bytes the device read just verified. Writes are
+//! write-through (every write is physical) and invalidate any cached frame,
+//! so persisted corruption is still caught by the next physical read.
 
 use std::cell::RefCell;
 use std::fs::File;
@@ -344,30 +348,36 @@ impl<T: Record> EmFile<T> {
             Storage::Disk { file, .. } => {
                 use std::os::unix::fs::FileExt;
                 let bytes = count * T::BYTES;
-                let off = block * self.disk_stride();
+                let stride = self.disk_stride();
+                let corrupt = || {
+                    self.ctx.stats().record_corrupt_read();
+                    EmError::Corrupt {
+                        block,
+                        file: self.id,
+                    }
+                };
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.resize(bytes + CHECKSUM_BYTES, 0);
-                    let (payload, sum) = sc.split_at_mut(bytes);
-                    file.read_exact_at(payload, off)?;
-                    file.read_exact_at(sum, off + (self.block_capacity() * T::BYTES) as u64)?;
+                    sc.resize(stride as usize, 0);
+                    // One read of the whole stride, payload and checksum
+                    // together. A file cut short inside the stride is a
+                    // damaged block, not an I/O failure.
+                    file.read_exact_at(sc, block * stride).map_err(|e| {
+                        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                            corrupt()
+                        } else {
+                            e.into()
+                        }
+                    })?;
+                    let (payload, sum) = sc.split_at_mut(stride as usize - CHECKSUM_BYTES);
+                    let payload = &mut payload[..bytes];
                     if matches!(injected, Injected::Corrupt) && bytes > 0 {
                         payload[0] ^= 1;
                     }
-                    let stored =
-                        u64::from_le_bytes(sum.try_into().map_err(|_| EmError::Corrupt {
-                            block,
-                            file: self.id,
-                        })?);
+                    let stored = u64::from_le_bytes(sum.try_into().map_err(|_| corrupt())?);
                     if block_checksum(payload) != stored {
-                        self.ctx.stats().record_corrupt_read();
-                        return Err(EmError::Corrupt {
-                            block,
-                            file: self.id,
-                        });
+                        return Err(corrupt());
                     }
-                    for i in 0..count {
-                        buf.push(T::read_bytes(&payload[i * T::BYTES..]));
-                    }
+                    buf.extend(payload.chunks_exact(T::BYTES).map(T::read_bytes));
                     Ok(())
                 })?;
                 self.ctx
@@ -401,6 +411,7 @@ impl<T: Record> EmFile<T> {
 
     fn device_write_raw(&mut self, slot: u64, data: &[T]) -> Result<()> {
         let injected = consult_plan(&self.ctx, IoOp::Write, self.id)?;
+        let stride = self.disk_stride();
         match &mut self.storage {
             Storage::Mem(blocks) => {
                 let store = |blocks: &mut Vec<Box<[T]>>, payload: Box<[T]>| {
@@ -435,14 +446,15 @@ impl<T: Record> EmFile<T> {
             Storage::Disk { file, .. } => {
                 use std::os::unix::fs::FileExt;
                 let bytes = data.len() * T::BYTES;
-                let cap_bytes = self.ctx.config().block_records_for_width(T::WORDS) * T::BYTES;
-                let off = slot * ((cap_bytes + CHECKSUM_BYTES) as u64);
+                let cap_bytes = stride as usize - CHECKSUM_BYTES;
+                let off = slot * stride;
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.clear();
-                    sc.resize(cap_bytes + CHECKSUM_BYTES, 0);
-                    for (i, r) in data.iter().enumerate() {
-                        r.write_bytes(&mut sc[i * T::BYTES..(i + 1) * T::BYTES]);
+                    sc.resize(stride as usize, 0);
+                    for (r, out) in data.iter().zip(sc.chunks_exact_mut(T::BYTES)) {
+                        r.write_bytes(out);
                     }
+                    // A partial block's unused capacity is written as zeroes.
+                    sc[bytes..cap_bytes].fill(0);
                     // Checksum covers the payload as it *should* be; a
                     // corrupting fault damages the payload after this point so
                     // the damage is detectable on read.
@@ -502,9 +514,11 @@ impl<T: Record> EmFile<T> {
                 // unchanged), but no device transfer happens — the fault
                 // plan is not consulted and `physical_reads` does not move.
                 buf.clear();
-                for i in 0..count {
-                    buf.push(T::read_bytes(&pin[i * T::BYTES..]));
-                }
+                buf.extend(
+                    pin[..count * T::BYTES]
+                        .chunks_exact(T::BYTES)
+                        .map(T::read_bytes),
+                );
                 let bytes = match &self.storage {
                     Storage::Mem(_) => 0,
                     Storage::Disk { .. } => (count * T::BYTES) as u64,
@@ -521,11 +535,21 @@ impl<T: Record> EmFile<T> {
         if use_cache {
             // Populate from the verified payload only (never from writes),
             // so a cached frame is always known-good bytes.
-            let mut bytes = vec![0u8; count * T::BYTES];
-            for (i, r) in buf.iter().enumerate() {
-                r.write_bytes(&mut bytes[i * T::BYTES..(i + 1) * T::BYTES]);
+            match &self.storage {
+                // The successful device read above ran on this thread and
+                // left the checksummed payload bytes in its scratch.
+                Storage::Disk { .. } => SCRATCH.with_borrow(|sc| {
+                    cache.insert(self.id, block, &sc[..count * T::BYTES]);
+                }),
+                // RAM blocks have no byte image: encode the records.
+                Storage::Mem(_) => {
+                    let mut bytes = vec![0u8; count * T::BYTES];
+                    for (r, out) in buf.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+                        r.write_bytes(out);
+                    }
+                    cache.insert(self.id, block, &bytes);
+                }
             }
-            cache.insert(self.id, block, &bytes);
         }
         Ok(())
     }
@@ -980,6 +1004,34 @@ mod tests {
             assert!(!path.exists());
         }
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn truncated_tail_reads_as_corrupt_last_block() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let data: Vec<u64> = (0..40).collect(); // blocks of 16, 16 and 8
+        let f = EmFile::from_slice(&ctx, &data).unwrap();
+        f.set_persistent(true);
+        let id = f.id();
+        // Cut the file inside the last stride, behind the open handle's
+        // back (the checksum slot of block 2 is lost).
+        let path = ctx.file_path(id).unwrap();
+        let size = std::fs::metadata(&path).unwrap().len();
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(size - 4)
+            .unwrap();
+        let mut buf = Vec::new();
+        f.read_block_into(1, &mut buf).unwrap();
+        assert_eq!(buf, (16..32).collect::<Vec<u64>>());
+        assert!(matches!(
+            f.read_block_into(2, &mut buf),
+            Err(EmError::Corrupt { block: 2, file }) if file == id
+        ));
+        assert_eq!(ctx.stats().snapshot().corrupt_reads, 1);
+        f.set_persistent(false);
     }
 
     #[test]

@@ -33,9 +33,15 @@
 //! ## Document format
 //!
 //! ```text
-//! emjournal v1 <kind> <state-version> <body-bytes> <checksum-hex>\n
+//! emjournal v2 <kind> <state-version> <body-bytes> <checksum-hex>\n
 //! <body…>
 //! ```
+//!
+//! The checksum is [`crate::block_checksum`] (XXH64) of the body. The
+//! envelope moved from `v1` to `v2` when that function changed; block files
+//! are reachable only through journals, so a `v1` document is refused at
+//! load with an explicit "rebuild the store" error rather than reported as
+//! torn.
 //!
 //! The body encoding belongs to the [`JournalState`] implementor; the
 //! convention in this workspace is line-oriented `key value…` text.
@@ -46,9 +52,11 @@ use crate::checksum::block_checksum;
 use crate::ctx::EmContext;
 use crate::error::{EmError, Result};
 
-/// Magic + format version of the journal envelope (the *state* carries its
-/// own version on top of this).
-const MAGIC: &str = "emjournal v1";
+/// Magic of the journal envelope.
+const MAGIC: &str = "emjournal";
+/// Format version of the envelope (the *state* carries its own version on
+/// top of this).
+const FORMAT: &str = "v2";
 
 /// State that can be persisted in a [`Journal`].
 ///
@@ -134,7 +142,7 @@ impl Journal {
         let mut body = String::new();
         state.encode(&mut body);
         let doc = format!(
-            "{MAGIC} {} {} {} {:016x}\n{body}",
+            "{MAGIC} {FORMAT} {} {} {} {:016x}\n{body}",
             S::KIND,
             S::VERSION,
             body.len(),
@@ -188,7 +196,15 @@ impl Journal {
             EmError::config(format!("journal {}: missing header line", self.name))
         })?;
         let fields: Vec<&str> = header.split(' ').collect();
-        if fields.len() != 6 || fields[0] != "emjournal" || fields[1] != "v1" {
+        if fields.len() > 1 && fields[0] == MAGIC && fields[1] == "v1" {
+            // A v1 envelope and the block files it references were
+            // checksummed with the previous function.
+            return Err(EmError::config(format!(
+                "journal {}: journal written by an older emcore format; rebuild the store",
+                self.name
+            )));
+        }
+        if fields.len() != 6 || fields[0] != MAGIC || fields[1] != FORMAT {
             return Err(EmError::config(format!(
                 "journal {}: bad header {header:?}",
                 self.name
@@ -365,6 +381,32 @@ mod tests {
         bytes[last] ^= 0x20;
         std::fs::write(&path, bytes).unwrap();
         assert!(j.load::<Demo>().is_err());
+    }
+
+    #[test]
+    fn v1_document_asks_for_a_rebuild() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        j.commit(&Demo {
+            phase: 4,
+            items: vec![7],
+        })
+        .unwrap();
+        let path = j.path().unwrap();
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert!(doc.starts_with("emjournal v2 demo 1 "));
+        // The same document under the old envelope, as an older build
+        // would have left it.
+        std::fs::write(&path, doc.replacen("emjournal v2", "emjournal v1", 1)).unwrap();
+        let msg = match j.load::<Demo>() {
+            Err(EmError::Config(msg)) => msg,
+            other => panic!("expected a Config error, got {other:?}"),
+        };
+        assert!(
+            msg.contains("journal written by an older emcore format; rebuild the store"),
+            "{msg}"
+        );
+        assert!(!msg.contains("torn or corrupt"), "{msg}");
     }
 
     #[test]

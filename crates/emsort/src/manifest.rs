@@ -703,7 +703,7 @@ mod tests {
         let mut m = SortManifest::new(&c, None);
         assert!(resume(&f, &mut m).is_err());
         let doc = std::fs::read_to_string(&meta).expect("journal exists after crash");
-        assert!(doc.starts_with("emjournal v1 sort-manifest"));
+        assert!(doc.starts_with("emjournal v2 sort-manifest"));
         assert!(doc.contains("consumed"));
         plan.clear_crash();
         let _ = resume(&f, &mut m).unwrap();
