@@ -61,8 +61,6 @@ pub use partitioning::{
     approx_partitioning, approx_partitioning_with, PartitionOptions, Partitioning,
 };
 pub use precise::{precise_partitioning, precise_via_approx, precise_via_approx_with_step};
-#[allow(deprecated)]
-pub use recover::resume_approx_partitioning;
 pub use recover::{
     approx_partitioning_recoverable, PartitionJob, PartitionManifest, PARTITION_JOURNAL,
 };

@@ -49,8 +49,8 @@
 //! ```
 
 use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
+    run_recoverable, EmContext, EmFile, InputId, LedgerDoc, Manifest, Record, RecoverableJob,
+    Result, WorkLedger,
 };
 use emselect::{split_at_rank_segs, Partition};
 
@@ -71,138 +71,14 @@ struct Node<T: Record> {
     segs: Option<Vec<EmFile<T>>>,
 }
 
-/// Segment lists as journaled: `(file id, record count)` pairs; `None`
-/// marks the root (input-borrowing) node.
-type SegIds = Option<Vec<(u64, u64)>>;
-
-/// Serialised image of a [`PartitionManifest`] — what the journal stores.
-#[derive(Debug, PartialEq, Eq)]
-struct PartImage {
-    input: (u64, u64),
-    spec: (u64, u64, u64, u64),
-    checkpoints: u64,
-    /// Completed partitions: `(slot index, segment (id, len) pairs)`.
-    slots: Vec<(usize, Vec<(u64, u64)>)>,
-    /// Pending split-tree nodes, stack bottom first.
-    nodes: Vec<(usize, usize, SegIds)>,
-}
-
-impl JournalState for PartImage {
-    const KIND: &'static str = "partition-manifest";
-    const VERSION: u32 = 1;
-
-    fn encode(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "input {} {}", self.input.0, self.input.1);
-        let (n, k, a, b) = self.spec;
-        let _ = writeln!(out, "spec {n} {k} {a} {b}");
-        let _ = writeln!(out, "checkpoints {}", self.checkpoints);
-        for (i, segs) in &self.slots {
-            let _ = write!(out, "slot {i}");
-            for (id, len) in segs {
-                let _ = write!(out, " {id} {len}");
-            }
-            let _ = writeln!(out);
-        }
-        for (lo, hi, segs) in &self.nodes {
-            let _ = write!(out, "node {lo} {hi}");
-            match segs {
-                None => {
-                    let _ = write!(out, " root");
-                }
-                Some(segs) => {
-                    for (id, len) in segs {
-                        let _ = write!(out, " {id} {len}");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-    }
-
-    fn decode(body: &str) -> Result<Self> {
-        fn bad(line: &str) -> EmError {
-            EmError::config(format!("partition journal: bad line {line:?}"))
-        }
-        fn pairs(toks: &[&str], line: &str) -> Result<Vec<(u64, u64)>> {
-            if !toks.len().is_multiple_of(2) {
-                return Err(bad(line));
-            }
-            let mut out = Vec::with_capacity(toks.len() / 2);
-            for pair in toks.chunks(2) {
-                out.push((
-                    pair[0].parse().map_err(|_| bad(line))?,
-                    pair[1].parse().map_err(|_| bad(line))?,
-                ));
-            }
-            Ok(out)
-        }
-        let mut img = PartImage {
-            input: (0, 0),
-            spec: (0, 0, 0, 0),
-            checkpoints: 0,
-            slots: Vec::new(),
-            nodes: Vec::new(),
-        };
-        for line in body.lines() {
-            let (key, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-            let toks: Vec<&str> = rest.split(' ').collect();
-            match key {
-                "input" => {
-                    if toks.len() != 2 {
-                        return Err(bad(line));
-                    }
-                    img.input = (
-                        toks[0].parse().map_err(|_| bad(line))?,
-                        toks[1].parse().map_err(|_| bad(line))?,
-                    );
-                }
-                "spec" => {
-                    if toks.len() != 4 {
-                        return Err(bad(line));
-                    }
-                    img.spec = (
-                        toks[0].parse().map_err(|_| bad(line))?,
-                        toks[1].parse().map_err(|_| bad(line))?,
-                        toks[2].parse().map_err(|_| bad(line))?,
-                        toks[3].parse().map_err(|_| bad(line))?,
-                    );
-                }
-                "checkpoints" => img.checkpoints = rest.parse().map_err(|_| bad(line))?,
-                "slot" => {
-                    let idx: usize = toks[0].parse().map_err(|_| bad(line))?;
-                    img.slots.push((idx, pairs(&toks[1..], line)?));
-                }
-                "node" => {
-                    if toks.len() < 2 {
-                        return Err(bad(line));
-                    }
-                    let lo: usize = toks[0].parse().map_err(|_| bad(line))?;
-                    let hi: usize = toks[1].parse().map_err(|_| bad(line))?;
-                    let segs = if toks.get(2) == Some(&"root") {
-                        None
-                    } else {
-                        Some(pairs(&toks[2..], line)?)
-                    };
-                    img.nodes.push((lo, hi, segs));
-                }
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(img)
-    }
-}
-
 /// Checkpointed state of a recoverable approximate partitioning. Owns the
 /// completed partitions and the pending split-tree nodes; survives any
-/// number of failed [`resume_approx_partitioning`] attempts.
+/// number of failed [`PartitionJob`] attempts.
 #[derive(Debug)]
 pub struct PartitionManifest<T: Record> {
-    ctx: EmContext,
+    ledger: WorkLedger,
     spec: ProblemSpec,
     opts: PartitionOptions,
-    /// Input file identity `(id, len)`.
-    input: (u64, u64),
     /// Cumulative target partition sizes (`cum[i]` = records in
     /// partitions `0..=i`).
     cum: Vec<u64>,
@@ -210,11 +86,41 @@ pub struct PartitionManifest<T: Record> {
     slots: Vec<Option<Partition<T>>>,
     /// Pending nodes, processed LIFO (leftmost-deepest first).
     work: Vec<Node<T>>,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
+}
+
+impl<T: Record> Manifest for PartitionManifest<T> {
+    type Record = T;
+
+    fn ledger(&self) -> &WorkLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut WorkLedger {
+        &mut self.ledger
+    }
+
+    /// Completed partition `i` as file list `slot-<i>`; pending nodes, stack
+    /// bottom first, as `node <lo> <hi>` plus their segments — the root
+    /// reads the input, so it lists none and is marked `root`.
+    fn write_state(&self, doc: &mut LedgerDoc) {
+        let ProblemSpec { n, k, a, b, .. } = self.spec;
+        doc.push_nums("spec", &[n, k, a, b]);
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(p) = slot {
+                doc.push_files(&format!("slot-{i}"), p.segments());
+            }
+        }
+        for nd in &self.work {
+            let bounds = [nd.lo as u64, nd.hi as u64];
+            match &nd.segs {
+                Some(segs) => {
+                    doc.push_nums("node", &bounds);
+                    doc.push_files("node", segs);
+                }
+                None => doc.push_nums("root", &bounds),
+            }
+        }
+    }
 }
 
 impl<T: Record> PartitionManifest<T> {
@@ -228,7 +134,6 @@ impl<T: Record> PartitionManifest<T> {
     /// strategy is consulted).
     pub fn new_with(input: &EmFile<T>, spec: &ProblemSpec, opts: PartitionOptions) -> Result<Self> {
         check_input(input, spec)?;
-        let ctx = input.ctx().clone();
         let sizes = target_sizes(spec);
         let k = sizes.len();
         debug_assert_eq!(k, spec.k as usize);
@@ -239,11 +144,10 @@ impl<T: Record> PartitionManifest<T> {
             cum.push(acc);
         }
         debug_assert_eq!(acc, spec.n);
-        let journal = Journal::new(&ctx, PARTITION_JOURNAL).expect("valid journal name");
         Ok(Self {
+            ledger: WorkLedger::new(input.ctx(), PARTITION_JOURNAL, Some(InputId::of(input))),
             spec: *spec,
             opts,
-            input: (input.id(), input.len()),
             cum,
             slots: (0..k).map(|_| None).collect(),
             work: vec![Node {
@@ -251,90 +155,7 @@ impl<T: Record> PartitionManifest<T> {
                 hi: k - 1,
                 segs: None,
             }],
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
-            ctx,
         })
-    }
-
-    /// Whether partitioning has completed and yielded its output.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Completed work units so far (each one a checkpoint).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// Largest I/O cost of any single completed work unit — the empirical
-    /// bound on crash rework.
-    pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
-    }
-
-    /// The problem spec this manifest was created for.
-    pub fn spec(&self) -> &ProblemSpec {
-        &self.spec
-    }
-
-    /// A human-readable snapshot of the manifest.
-    pub fn describe(&self) -> String {
-        let mut s = String::from("em-partition-manifest v1\n");
-        self.image().encode(&mut s);
-        s
-    }
-
-    fn image(&self) -> PartImage {
-        let seg_ids = |p: &Partition<T>| -> Vec<(u64, u64)> {
-            p.segments().iter().map(|s| (s.id(), s.len())).collect()
-        };
-        PartImage {
-            input: self.input,
-            spec: (self.spec.n, self.spec.k, self.spec.a, self.spec.b),
-            checkpoints: self.checkpoints,
-            slots: self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|p| (i, seg_ids(p))))
-                .collect(),
-            nodes: self
-                .work
-                .iter()
-                .map(|n| {
-                    (
-                        n.lo,
-                        n.hi,
-                        n.segs
-                            .as_ref()
-                            .map(|v| v.iter().map(|s| (s.id(), s.len())).collect()),
-                    )
-                })
-                .collect(),
-        }
-    }
-
-    fn begin_unit(&mut self) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, self.ctx.stats().snapshot())
-    }
-
-    fn end_unit(&mut self, redo: bool, before: Counters) {
-        let spent = self.ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            self.ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
     }
 }
 
@@ -358,31 +179,12 @@ impl<'a, T: Record> PartitionJob<'a, T> {
 impl<T: Record> RecoverableJob for PartitionJob<'_, T> {
     type Output = Partitioning<T>;
 
-    fn kind(&self) -> &'static str {
-        "resume_approx_partitioning"
+    fn ledger(&mut self) -> &mut WorkLedger {
+        &mut self.manifest.ledger
     }
 
-    fn journal_name(&self) -> &'static str {
-        PARTITION_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        // Identity was bound at `PartitionManifest::new`; only verify.
-        if self.manifest.input != (self.input.id(), self.input.len()) {
-            return Err(EmError::config(format!(
-                "resume_approx_partitioning: manifest belongs to input (id {}, len {}), \
-                 got (id {}, len {})",
-                self.manifest.input.0,
-                self.manifest.input.1,
-                self.input.id(),
-                self.input.len()
-            )));
-        }
-        Ok(())
+    fn input(&self) -> InputId {
+        InputId::of(self.input)
     }
 
     fn drive(&mut self, ctx: &EmContext) -> Result<Partitioning<T>> {
@@ -403,20 +205,7 @@ pub fn approx_partitioning_recoverable<T: Record>(
     spec: &ProblemSpec,
 ) -> Result<Partitioning<T>> {
     let mut manifest = PartitionManifest::new(input, spec)?;
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut PartitionJob::new(input, &mut manifest))
-}
-
-/// Drive the partitioning of `input` forward from wherever `manifest` left
-/// off, until completion or the next terminal error. Idempotent over
-/// failures: only the interrupted split is redone on the next call.
-#[deprecated(note = "use emcore::run_recoverable with apsplit::PartitionJob")]
-pub fn resume_approx_partitioning<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut PartitionManifest<T>,
-) -> Result<Partitioning<T>> {
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut PartitionJob::new(input, manifest))
+    run_recoverable(input.ctx(), &mut PartitionJob::new(input, &mut manifest))
 }
 
 fn resume_inner<T: Record>(
@@ -425,14 +214,11 @@ fn resume_inner<T: Record>(
     ctx: &EmContext,
 ) -> Result<Partitioning<T>> {
     let strategy = manifest.opts.strategy;
-    while !manifest.work.is_empty() {
-        let (redo, before) = manifest.begin_unit();
-        let (lo, hi, is_root) = {
-            let nd = manifest.work.last().expect("non-empty work stack");
-            (nd.lo, nd.hi, nd.segs.is_none())
-        };
-        // Trace-only span per split-tree node: redo points land inside it.
-        let _unit = ctx.stats().trace_span(|| format!("split/{lo}-{hi}"));
+    while let Some(nd) = manifest.work.last() {
+        let (lo, hi, is_root) = (nd.lo, nd.hi, nd.segs.is_none());
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |_| format!("split/{lo}-{hi}"));
         let start = if lo == 0 { 0 } else { manifest.cum[lo - 1] };
         let node_len = manifest.cum[hi] - start;
 
@@ -442,8 +228,8 @@ fn resume_inner<T: Record>(
             for s in lo..=hi {
                 manifest.slots[s] = Some(Partition::empty());
             }
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.checkpoint(Vec::new())?;
+            manifest.ledger.end_unit(unit);
             continue;
         }
 
@@ -457,9 +243,7 @@ fn resume_inner<T: Record>(
                 while let Some(x) = r.next()? {
                     w.push(x)?;
                 }
-                let f = w.finish()?;
-                f.set_persistent(true);
-                Partition::from_file(f)
+                Partition::from_file(w.finish()?)
             } else {
                 let nd = manifest.work.last_mut().expect("non-empty work stack");
                 Partition::from_segments(nd.segs.take().expect("non-root leaf"))
@@ -467,8 +251,8 @@ fn resume_inner<T: Record>(
             manifest.work.pop();
             manifest.slots[lo] = Some(part);
             // ---- checkpoint: partition `lo`'s segments are durable ----
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.checkpoint(Vec::new())?;
+            manifest.ledger.end_unit(unit);
             continue;
         }
 
@@ -481,8 +265,8 @@ fn resume_inner<T: Record>(
                 manifest.slots[s] = Some(Partition::empty());
             }
             manifest.work.last_mut().expect("non-empty").lo = mid + 1;
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.checkpoint(Vec::new())?;
+            manifest.ledger.end_unit(unit);
             continue;
         }
         if cut == node_len {
@@ -491,8 +275,8 @@ fn resume_inner<T: Record>(
                 manifest.slots[s] = Some(Partition::empty());
             }
             manifest.work.last_mut().expect("non-empty").hi = mid;
-            manifest.checkpoint()?;
-            manifest.end_unit(redo, before);
+            manifest.checkpoint(Vec::new())?;
+            manifest.ledger.end_unit(unit);
             continue;
         }
 
@@ -507,9 +291,6 @@ fn resume_inner<T: Record>(
             let (low, high, _boundary) = split_at_rank_segs(ctx, segs, cut, strategy)?;
             (low, high)
         };
-        for s in low.segments().iter().chain(high.segments()) {
-            s.set_persistent(true);
-        }
         let parent = manifest.work.pop().expect("non-empty work stack");
         manifest.work.push(Node {
             lo: mid + 1,
@@ -521,15 +302,10 @@ fn resume_inner<T: Record>(
             hi: mid,
             segs: Some(low.into_segments()),
         });
-        // ---- checkpoint: both children's segment lists are durable ----
-        manifest.checkpoint()?;
-        // Only now may the parent's (non-root) input segments be released.
-        if let Some(segs) = parent.segs {
-            for s in &segs {
-                s.set_persistent(false);
-            }
-        }
-        manifest.end_unit(redo, before);
+        // ---- checkpoint: both children's segment lists are durable; only
+        // then is the parent's (non-root) input released ----
+        manifest.checkpoint(parent.segs.unwrap_or_default())?;
+        manifest.ledger.end_unit(unit);
     }
 
     let parts: Partitioning<T> = manifest
@@ -543,8 +319,7 @@ fn resume_inner<T: Record>(
             s.set_persistent(false);
         }
     }
-    manifest.done = true;
-    manifest.journal.remove()?;
+    manifest.ledger.finish()?;
     Ok(parts)
 }
 
@@ -552,7 +327,7 @@ fn resume_inner<T: Record>(
 mod tests {
     use super::*;
     use crate::verify::verify_partitioning;
-    use emcore::{EmConfig, FaultPlan, SplitMix64};
+    use emcore::{EmConfig, EmError, FaultPlan, SplitMix64};
 
     fn shuffled(n: u64, seed: u64) -> Vec<u64> {
         let mut v: Vec<u64> = (0..n).collect();
@@ -561,8 +336,6 @@ mod tests {
     }
 
     /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_approx_partitioning` is only a deprecated shim over
-    /// exactly this.)
     fn resume(f: &EmFile<u64>, m: &mut PartitionManifest<u64>) -> Result<Partitioning<u64>> {
         let c = f.ctx().clone();
         run_recoverable(&c, &mut PartitionJob::new(f, m))
@@ -622,10 +395,7 @@ mod tests {
         assert!(stats.journal_writes > 0);
     }
 
-    // Keeps the deprecated `resume_approx_partitioning` shim covered until
-    // it is removed; every other test resumes via `run_recoverable`.
     #[test]
-    #[allow(deprecated)]
     fn crash_and_resume_preserves_output_and_bounds_rework() {
         let n = 5000u64;
         let spec = ProblemSpec::new(n, 8, 100, 3000).unwrap();
@@ -645,7 +415,7 @@ mod tests {
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
         let mut crashes = 0;
         let parts = loop {
-            match resume_approx_partitioning(&f, &mut m) {
+            match resume(&f, &mut m) {
                 Ok(parts) => break parts,
                 Err(EmError::Crashed) => {
                     crashes += 1;
@@ -661,10 +431,10 @@ mod tests {
         let stats = c.stats().snapshot();
         assert!(stats.redone_ios > 0);
         assert!(
-            stats.redone_ios <= m.max_unit_ios(),
+            stats.redone_ios <= m.ledger().max_unit_ios(),
             "rework {} vs unit bound {}",
             stats.redone_ios,
-            m.max_unit_ios()
+            m.ledger().max_unit_ios()
         );
     }
 
@@ -694,7 +464,7 @@ mod tests {
         c.install_fault_plan(plan.clone());
         let mut m = PartitionManifest::new(&f, &spec).unwrap();
         assert!(resume(&f, &mut m).is_err());
-        assert_eq!(meta.exists(), m.checkpoints() > 0);
+        assert_eq!(meta.exists(), m.ledger().checkpoints() > 0);
         plan.clear_crash();
         let parts = resume(&f, &mut m).unwrap();
         assert_eq!(parts.len(), 8);
@@ -704,19 +474,5 @@ mod tests {
             .paused(|| verify_partitioning(&parts, &spec))
             .unwrap();
         assert!(report.ok);
-    }
-
-    #[test]
-    fn image_roundtrips_through_journal_encoding() {
-        let img = PartImage {
-            input: (5, 4000),
-            spec: (4000, 8, 100, 3000),
-            checkpoints: 7,
-            slots: vec![(0, vec![(9, 100), (10, 40)]), (3, vec![])],
-            nodes: vec![(0, 7, None), (4, 7, Some(vec![(11, 2000)]))],
-        };
-        let mut body = String::new();
-        img.encode(&mut body);
-        assert_eq!(PartImage::decode(&body).unwrap(), img);
     }
 }

@@ -1,7 +1,7 @@
 //! EX-RECOVERY: the crash-sweep campaign.
 //!
-//! For each recoverable algorithm (external sort, multi-selection,
-//! approximate partitioning) and each backend (memory, disk):
+//! For each recoverable job (external sort, multi-selection, approximate
+//! partitioning, graph clustering) and each backend (memory, disk):
 //!
 //! 1. run fault-free to learn the device-attempt count, billed I/Os, and
 //!    the output digest;
@@ -9,27 +9,30 @@
 //!    once the count exceeds the points budget), resume after each crash,
 //!    and check the **recovery invariants**: the resumed output equals the
 //!    fault-free output exactly, total billed I/Os exceed the fault-free
-//!    cost by at most one work unit ([`emsort::SortManifest::max_unit_ios`]
-//!    and friends), `redone_ios` is within the same unit bound, and the
-//!    backing directory holds no orphaned block files or journal temp
-//!    files afterwards.
+//!    cost by at most one work unit ([`emcore::WorkLedger::max_unit_ios`]),
+//!    `redone_ios` is within the same unit bound, and the backing directory
+//!    holds no orphaned block files or journal temp files afterwards.
 //!
 //! Any violated invariant increments the `failures` column — the campaign
 //! reports rather than panics, so one bad crash point does not hide the
 //! rest of the sweep. The library tests (`tests/fault_recovery.rs`) run
-//! the same driver exhaustively at small `N` and assert zero failures.
+//! the same invariants exhaustively at small `N` and assert zero failures.
 
 use apsplit::{PartitionJob, PartitionManifest, ProblemSpec};
-use emcore::{run_recoverable, EmConfig, EmContext, EmError, EmFile, FaultPlan};
+use emcore::{run_recoverable, EmConfig, EmContext, EmError, FaultPlan, Manifest, RecoverableJob};
+use emgraph::{
+    build_graph, edges_from_pairs, labels_digest, BuildOptions, ClusterJob, ClusterManifest,
+};
 use emselect::{MsOptions, MultiSelectJob, MultiSelectManifest, Partition};
 use emsort::{SortJob, SortManifest};
-use workloads::{materialize, Workload};
+use workloads::{materialize, rmat_edges, Workload};
 
+use crate::graph::cluster_opts;
 use crate::harness::{emit, fnum, Scale, Table};
 
 const SEED: u64 = 20140623;
 
-/// The recoverable algorithms the campaign sweeps.
+/// The recoverable jobs the campaign sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Algo {
     /// Recoverable external merge sort ([`emsort::SortJob`]).
@@ -38,6 +41,9 @@ pub enum Algo {
     MultiSelect,
     /// Recoverable approximate partitioning ([`apsplit::PartitionJob`]).
     Partition,
+    /// Recoverable label-propagation clustering ([`emgraph::ClusterJob`])
+    /// of an R-MAT graph with `N / 4` raw edges.
+    Cluster,
 }
 
 impl Algo {
@@ -47,6 +53,7 @@ impl Algo {
             Algo::Sort => "sort",
             Algo::MultiSelect => "multi-select",
             Algo::Partition => "partitioning",
+            Algo::Cluster => "cluster",
         }
     }
 }
@@ -78,52 +85,81 @@ impl Backend {
     }
 }
 
-/// One completed (possibly crash-and-resumed) run of an algorithm.
-struct RunOut {
-    /// FNV digest of the full output contents, in order.
-    digest: u64,
-    /// Billed block I/Os of the algorithm (materialisation excluded).
-    total_ios: u64,
+/// One completed (possibly crash-and-resumed) run of a recoverable job.
+pub(crate) struct RunOut {
+    /// Digest of the full output contents, in order.
+    pub(crate) digest: u64,
+    /// Billed block I/Os of the job (input construction excluded).
+    pub(crate) total_ios: u64,
     /// `Counters::redone_ios` delta.
-    redone_ios: u64,
+    pub(crate) redone_ios: u64,
     /// Device attempts consumed (the crash-index space).
-    attempts: u64,
+    pub(crate) attempts: u64,
     /// The manifest's largest completed work unit, in I/Os.
-    max_unit_ios: u64,
+    pub(crate) max_unit_ios: u64,
     /// Crash→resume cycles needed.
-    resumes: u64,
+    pub(crate) resumes: u64,
     /// Orphaned `em-*.bin` / `*.journal.tmp` files left behind (disk).
-    orphans: u64,
+    pub(crate) orphans: u64,
 }
 
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-fn digest_file(f: &EmFile<u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut r = f.reader().expect("oracle reader");
-    while let Some(x) = r.next().expect("oracle read") {
-        h = fnv(h, x);
+impl RunOut {
+    /// Extra billed I/Os over the fault-free run.
+    pub(crate) fn rework(&self, clean: &RunOut) -> u64 {
+        self.total_ios.saturating_sub(clean.total_ios)
     }
-    h
-}
 
-fn digest_parts(parts: &[Partition<u64>]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for p in parts {
-        h = fnv(h, 0xDEAD); // partition boundary marker
-        for x in p.to_vec().expect("oracle read") {
-            h = fnv(h, x);
+    /// The recovery invariants of a run crashed once, against the
+    /// fault-free run: every violated one, described.
+    pub(crate) fn violations(&self, clean: &RunOut) -> Vec<String> {
+        let bound = self.max_unit_ios;
+        let mut bad = Vec::new();
+        if self.digest != clean.digest {
+            bad.push("output differs from fault-free run".to_string());
         }
+        if self.resumes != 1 {
+            bad.push(format!("{} resumes (expected 1)", self.resumes));
+        }
+        if self.rework(clean) > bound {
+            bad.push(format!(
+                "rework {} exceeds unit bound {bound}",
+                self.rework(clean)
+            ));
+        }
+        if self.redone_ios > bound {
+            bad.push(format!(
+                "redone_ios {} exceeds unit bound {bound}",
+                self.redone_ios
+            ));
+        }
+        if self.orphans > 0 {
+            bad.push(format!("{} orphaned files", self.orphans));
+        }
+        bad
     }
-    h
 }
 
-/// Orphan audit: block files on disk that belong to neither the input nor
-/// the output, plus leftover journal temp files. Zero on the memory
+/// FNV-1a style digest of a value stream, in order.
+pub(crate) fn digest(vals: impl IntoIterator<Item = u64>) -> u64 {
+    vals.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of a partitioning: contents in order, with a marker at every
+/// partition boundary.
+fn digest_parts(parts: &[Partition<u64>]) -> u64 {
+    digest(
+        parts
+            .iter()
+            .flat_map(|p| std::iter::once(0xDEAD).chain(p.to_vec().expect("oracle read"))),
+    )
+}
+
+/// Orphan audit: block files on disk that are not in `live` (the inputs
+/// and the output), plus leftover journal temp files. Zero on the memory
 /// backend by construction.
-fn count_orphans(ctx: &EmContext, live: &[u64]) -> u64 {
+pub(crate) fn count_orphans(ctx: &EmContext, live: &[u64]) -> u64 {
     let mut orphans = ctx
         .list_file_ids()
         .expect("list ids")
@@ -141,6 +177,30 @@ fn count_orphans(ctx: &EmContext, live: &[u64]) -> u64 {
     orphans
 }
 
+/// Drive `job` to completion, clearing each simulated crash of `plan` and
+/// resuming. Returns the output and the number of crash→resume cycles;
+/// `Err` describes a non-crash failure or a crash loop.
+pub(crate) fn resume_until_done<J: RecoverableJob>(
+    ctx: &EmContext,
+    plan: &FaultPlan,
+    job: &mut J,
+) -> Result<(J::Output, u64), String> {
+    let mut resumes = 0u64;
+    loop {
+        match run_recoverable(ctx, job) {
+            Ok(out) => return Ok((out, resumes)),
+            Err(EmError::Crashed) => {
+                resumes += 1;
+                if resumes > 50 {
+                    return Err("crash loop did not terminate".into());
+                }
+                plan.clear_crash();
+            }
+            Err(e) => return Err(format!("unexpected error: {e}")),
+        }
+    }
+}
+
 /// Selection ranks used by the multi-select case: `k` evenly spaced.
 fn select_ranks(n: u64) -> Vec<u64> {
     (1..=12u64).map(|i| i * n / 12).filter(|&r| r > 0).collect()
@@ -153,8 +213,10 @@ fn partition_spec(n: u64) -> ProblemSpec {
 }
 
 /// Run `algo` once on a fresh context, crashing at device attempt
-/// `crash_at` (if any) and resuming until completion. `Err` carries a
-/// description of the non-crash failure, if one occurs.
+/// `crash_at` (if any) and resuming until completion. The input is built
+/// before the fault plan is installed, so crash indices count only the
+/// job's own device attempts. `Err` carries a description of the non-crash
+/// failure, if one occurs.
 fn run_algo(
     algo: Algo,
     backend: Backend,
@@ -163,44 +225,34 @@ fn run_algo(
     crash_at: Option<u64>,
 ) -> Result<RunOut, String> {
     let ctx = backend.ctx(config);
-    let input = ctx
-        .stats()
-        .paused(|| materialize(&ctx, Workload::UniformPerm, n, SEED))
-        .map_err(|e| format!("materialize: {e}"))?;
+    let keys = || {
+        ctx.stats()
+            .paused(|| materialize(&ctx, Workload::UniformPerm, n, SEED))
+            .map_err(|e| format!("materialize: {e}"))
+    };
     let mut plan = FaultPlan::new(SEED);
     if let Some(i) = crash_at {
         plan = plan.fatal_at(i);
     }
-    ctx.install_fault_plan(plan.clone());
-    let before = ctx.stats().snapshot();
-    let mut resumes = 0u64;
+    let arm = || {
+        ctx.install_fault_plan(plan.clone());
+        ctx.stats().snapshot()
+    };
 
-    macro_rules! drive {
-        ($resume:expr) => {
-            loop {
-                match $resume {
-                    Ok(out) => break out,
-                    Err(EmError::Crashed) => {
-                        resumes += 1;
-                        if resumes > 50 {
-                            return Err("crash loop did not terminate".into());
-                        }
-                        plan.clear_crash();
-                    }
-                    Err(e) => return Err(format!("unexpected error: {e}")),
-                }
-            }
-        };
-    }
-
-    let (digest, max_unit_ios, live) = match algo {
+    let (before, digest, max_unit_ios, live, resumes) = match algo {
         Algo::Sort => {
+            let input = keys()?;
+            let before = arm();
             let mut m = SortManifest::new(&ctx, None);
-            let sorted = drive!(run_recoverable(&ctx, &mut SortJob::new(&input, &mut m)));
-            let d = ctx.oracle(|| digest_file(&sorted));
-            (d, m.max_unit_ios(), vec![input.id(), sorted.id()])
+            let (sorted, resumes) =
+                resume_until_done(&ctx, &plan, &mut SortJob::new(&input, &mut m))?;
+            let d = digest(ctx.oracle(|| sorted.to_vec()).expect("oracle read"));
+            let live = vec![input.id(), sorted.id()];
+            (before, d, m.ledger().max_unit_ios(), live, resumes)
         }
         Algo::MultiSelect => {
+            let input = keys()?;
+            let before = arm();
             // A small base-case capacity forces several groups, so the
             // checkpoint machinery is exercised even at sweep-sized N.
             let opts = MsOptions {
@@ -209,30 +261,44 @@ fn run_algo(
             };
             let mut m = MultiSelectManifest::new(&input, &select_ranks(n), opts)
                 .map_err(|e| format!("manifest: {e}"))?;
-            let found = drive!(run_recoverable(
-                &ctx,
-                &mut MultiSelectJob::new(&input, &mut m)
-            ));
-            let mut d = 0xcbf2_9ce4_8422_2325u64;
-            for x in &found {
-                d = fnv(d, *x);
-            }
-            (d, m.max_unit_ios(), vec![input.id()])
+            let (found, resumes) =
+                resume_until_done(&ctx, &plan, &mut MultiSelectJob::new(&input, &mut m))?;
+            let d = digest(found);
+            (
+                before,
+                d,
+                m.ledger().max_unit_ios(),
+                vec![input.id()],
+                resumes,
+            )
         }
         Algo::Partition => {
+            let input = keys()?;
+            let before = arm();
             let spec = partition_spec(n);
             let mut m =
                 PartitionManifest::new(&input, &spec).map_err(|e| format!("manifest: {e}"))?;
-            let parts = drive!(run_recoverable(
-                &ctx,
-                &mut PartitionJob::new(&input, &mut m)
-            ));
+            let (parts, resumes) =
+                resume_until_done(&ctx, &plan, &mut PartitionJob::new(&input, &mut m))?;
             let d = ctx.oracle(|| digest_parts(&parts));
             let mut live = vec![input.id()];
             for p in &parts {
                 live.extend(p.segments().iter().map(|s| s.id()));
             }
-            (d, m.max_unit_ios(), live)
+            (before, d, m.ledger().max_unit_ios(), live, resumes)
+        }
+        Algo::Cluster => {
+            let build = |e| format!("graph build: {e}");
+            let raw = edges_from_pairs(&ctx, &rmat_edges(8, n / 4, SEED)).map_err(build)?;
+            let g = build_graph(&ctx, &raw, &BuildOptions::default()).map_err(build)?;
+            let before = arm();
+            let mut m = ClusterManifest::new(&ctx, &cluster_opts());
+            let (c, resumes) = resume_until_done(&ctx, &plan, &mut ClusterJob::new(&g, &mut m))?;
+            let d = ctx
+                .oracle(|| labels_digest(&c.labels))
+                .map_err(|e| format!("digest: {e}"))?;
+            let live = vec![raw.id(), g.edges().id(), g.offsets().id(), c.labels.id()];
+            (before, d, m.ledger().max_unit_ios(), live, resumes)
         }
     };
 
@@ -307,31 +373,10 @@ pub fn sweep(algo: Algo, backend: Backend, n: u64, points_budget: u64) -> SweepO
             }
             Ok(run) => {
                 max_unit = max_unit.max(run.max_unit_ios);
-                let rework = run.total_ios.saturating_sub(clean.total_ios);
+                let rework = run.rework(&clean);
                 max_rework = max_rework.max(rework);
                 rework_sum += rework;
-                let mut bad = Vec::new();
-                if run.digest != clean.digest {
-                    bad.push("output differs from fault-free run".to_string());
-                }
-                if run.resumes != 1 {
-                    bad.push(format!("{} resumes (expected 1)", run.resumes));
-                }
-                if rework > run.max_unit_ios {
-                    bad.push(format!(
-                        "rework {rework} exceeds unit bound {}",
-                        run.max_unit_ios
-                    ));
-                }
-                if run.redone_ios > run.max_unit_ios {
-                    bad.push(format!(
-                        "redone_ios {} exceeds unit bound {}",
-                        run.redone_ios, run.max_unit_ios
-                    ));
-                }
-                if run.orphans > 0 {
-                    bad.push(format!("{} orphaned files", run.orphans));
-                }
+                let bad = run.violations(&clean);
                 if !bad.is_empty() {
                     eprintln!(
                         "[EX-RECOVERY] {}/{} @{crash_at}: {}",
@@ -365,7 +410,7 @@ pub fn sweep(algo: Algo, backend: Backend, n: u64, points_budget: u64) -> SweepO
     }
 }
 
-/// EX-RECOVERY: crash-sweep every recoverable algorithm on both backends
+/// EX-RECOVERY: crash-sweep every recoverable job on both backends
 /// and tabulate the recovery invariants.
 pub fn ex_recovery(scale: Scale) -> Table {
     let (n, budget) = match scale {
@@ -387,7 +432,12 @@ pub fn ex_recovery(scale: Scale) -> Table {
             "failures",
         ],
     );
-    for algo in [Algo::Sort, Algo::MultiSelect, Algo::Partition] {
+    for algo in [
+        Algo::Sort,
+        Algo::MultiSelect,
+        Algo::Partition,
+        Algo::Cluster,
+    ] {
         for backend in [Backend::Memory, Backend::Disk] {
             let o = sweep(algo, backend, n, budget);
             t.row(vec![
@@ -425,6 +475,13 @@ mod tests {
         assert_eq!(o.stride, 1, "tiny instance must sweep exhaustively");
         assert_eq!(o.failures, 0, "{o:?}");
         assert!(o.points > 0);
+    }
+
+    #[test]
+    fn sampled_sweep_cluster_disk() {
+        let o = sweep(Algo::Cluster, Backend::Disk, 400, 5);
+        assert_eq!(o.failures, 0, "{o:?}");
+        assert!(o.points > 0 && o.points <= 6);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    resumes in exactly one crash→resume cycle, reproduces the fault-free
 //!    digest, and both `redone_ios` and the extra billed I/Os stay within
 //!    the largest completed work unit (≤ one round, by
-//!    [`emgraph::ClusterManifest::max_unit_ios`]);
+//!    [`emcore::WorkLedger::max_unit_ios`]);
 //! 3. **No leaks** — after clustering, the context holds only the input,
 //!    the canonical graph, and the label file (no orphaned blocks or
 //!    journal temp files);
@@ -26,7 +26,7 @@
 //! rather than panics, and the `graph_bench` binary exits nonzero when
 //! any cell is sick (the CI graph-smoke gate).
 
-use emcore::{run_recoverable, EmConfig, EmContext, EmError, FaultPlan};
+use emcore::{EmConfig, EmContext, FaultPlan, Manifest};
 use emgraph::{
     build_graph, cluster_buckets, degree_buckets, edges_from_pairs, labels_digest,
     register_cluster_sizes, register_clustering, BuildOptions, ClusterJob, ClusterManifest,
@@ -35,7 +35,7 @@ use emgraph::{
 use emserve::{QueryServer, QueryService, ServeOptions};
 use workloads::{grid_edges, rmat_edges};
 
-use crate::crash_sweep::Backend;
+use crate::crash_sweep::{count_orphans, resume_until_done, Backend, RunOut};
 use crate::harness::{emit, Scale, Table};
 
 const SEED: u64 = 20140623;
@@ -82,7 +82,7 @@ fn graph_config(workers: usize) -> EmConfig {
         .expect("valid bench config")
 }
 
-fn cluster_opts() -> ClusterOptions {
+pub(crate) fn cluster_opts() -> ClusterOptions {
     ClusterOptions {
         rounds: 6,
         max_cluster_size: 0,
@@ -91,39 +91,12 @@ fn cluster_opts() -> ClusterOptions {
 
 /// One completed (possibly crash-and-resumed) clustering of a generated
 /// graph.
-struct RunOut {
+struct GraphRun {
+    run: RunOut,
     vertices: u64,
     edges: u64,
-    digest: u64,
     clusters: u64,
     rounds_run: u32,
-    total_ios: u64,
-    redone_ios: u64,
-    attempts: u64,
-    max_unit_ios: u64,
-    resumes: u64,
-    orphans: u64,
-}
-
-/// Orphan audit: files the context still tracks that are neither the raw
-/// input, the canonical graph, nor the output labels, plus leftover
-/// journal temp files on disk.
-fn count_orphans(ctx: &EmContext, live: &[u64]) -> u64 {
-    let mut orphans = ctx
-        .list_file_ids()
-        .expect("list ids")
-        .into_iter()
-        .filter(|id| !live.contains(id))
-        .count() as u64;
-    if let Some(dir) = ctx.backing_dir() {
-        for entry in std::fs::read_dir(dir).expect("read backing dir") {
-            let name = entry.expect("dir entry").file_name();
-            if name.to_string_lossy().ends_with(".journal.tmp") {
-                orphans += 1;
-            }
-        }
-    }
-    orphans
 }
 
 /// Build + cluster `kind` once on a fresh context. The fault plan is
@@ -136,7 +109,7 @@ fn run_once(
     workers: usize,
     scale: Scale,
     crash_at: Option<u64>,
-) -> Result<RunOut, String> {
+) -> Result<GraphRun, String> {
     let ctx = backend.ctx(graph_config(workers));
     let raw = edges_from_pairs(&ctx, &kind.pairs(scale)).map_err(|e| format!("pairs: {e}"))?;
     let g = build_graph(&ctx, &raw, &BuildOptions::default()).map_err(|e| format!("build: {e}"))?;
@@ -147,27 +120,15 @@ fn run_once(
     }
     ctx.install_fault_plan(plan.clone());
     let before = ctx.stats().snapshot();
-    let mut resumes = 0u64;
     let mut manifest = ClusterManifest::new(&ctx, &cluster_opts());
-    let c = loop {
-        match run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)) {
-            Ok(c) => break c,
-            Err(EmError::Crashed) => {
-                resumes += 1;
-                if resumes > 50 {
-                    return Err("crash loop did not terminate".into());
-                }
-                plan.clear_crash();
-            }
-            Err(e) => return Err(format!("unexpected error: {e}")),
-        }
-    };
+    let (c, resumes) = resume_until_done(&ctx, &plan, &mut ClusterJob::new(&g, &mut manifest))?;
     let spent = ctx.stats().snapshot().since(&before);
     ctx.clear_fault_plan();
 
     let digest = ctx
         .oracle(|| labels_digest(&c.labels))
         .map_err(|e| format!("digest: {e}"))?;
+    // Only the raw input, the canonical graph and the labels may remain.
     let live = [raw.id(), g.edges().id(), g.offsets().id(), c.labels.id()];
     let orphans = count_orphans(&ctx, &live);
 
@@ -178,18 +139,20 @@ fn run_once(
         bucket_check(&g, &c)?;
     }
 
-    Ok(RunOut {
+    Ok(GraphRun {
+        run: RunOut {
+            digest,
+            total_ios: spent.total_ios(),
+            redone_ios: spent.redone_ios,
+            attempts: plan.attempts(),
+            max_unit_ios: manifest.ledger().max_unit_ios(),
+            resumes,
+            orphans,
+        },
         vertices: g.vertices(),
         edges: g.num_edges(),
-        digest,
         clusters: c.clusters,
         rounds_run: c.rounds_run,
-        total_ios: spent.total_ios(),
-        redone_ios: spent.redone_ios,
-        attempts: plan.attempts(),
-        max_unit_ios: manifest.max_unit_ios(),
-        resumes,
-        orphans,
     })
 }
 
@@ -303,7 +266,7 @@ pub fn graph_cell(
         failures += 1;
     };
 
-    let clean = match run_once(kind, backend, 1, scale, None) {
+    let graph = match run_once(kind, backend, 1, scale, None) {
         Ok(run) => run,
         Err(e) => {
             fail(format!("fault-free run: {e}"));
@@ -323,6 +286,7 @@ pub fn graph_cell(
             };
         }
     };
+    let clean = &graph.run;
     if clean.resumes != 0 {
         fail(format!("{} resumes in the fault-free run", clean.resumes));
     }
@@ -344,7 +308,7 @@ pub fn graph_cell(
     // Worker invariance: same graph, 4 workers, same digest.
     match run_once(kind, backend, 4, scale, None) {
         Err(e) => fail(format!("4-worker run: {e}")),
-        Ok(run) => {
+        Ok(GraphRun { run, .. }) => {
             if run.digest != clean.digest {
                 fail(format!(
                     "digest {:016x} differs across worker counts from {:016x}",
@@ -367,32 +331,10 @@ pub fn graph_cell(
         crash_points += 1;
         match run_once(kind, backend, 1, scale, Some(crash_at)) {
             Err(e) => fail(format!("crash @{crash_at}: {e}")),
-            Ok(run) => {
+            Ok(GraphRun { run, .. }) => {
                 max_unit = max_unit.max(run.max_unit_ios);
                 max_redone = max_redone.max(run.redone_ios);
-                let mut bad = Vec::new();
-                if run.digest != clean.digest {
-                    bad.push("output differs from fault-free run".to_string());
-                }
-                if run.resumes != 1 {
-                    bad.push(format!("{} resumes (expected 1)", run.resumes));
-                }
-                let rework = run.total_ios.saturating_sub(clean.total_ios);
-                if rework > run.max_unit_ios {
-                    bad.push(format!(
-                        "rework {rework} exceeds one-round bound {}",
-                        run.max_unit_ios
-                    ));
-                }
-                if run.redone_ios > run.max_unit_ios {
-                    bad.push(format!(
-                        "redone_ios {} exceeds one-round bound {}",
-                        run.redone_ios, run.max_unit_ios
-                    ));
-                }
-                if run.orphans > 0 {
-                    bad.push(format!("{} orphaned files", run.orphans));
-                }
+                let bad = run.violations(clean);
                 if !bad.is_empty() {
                     fail(format!("crash @{crash_at}: {}", bad.join("; ")));
                 }
@@ -403,11 +345,11 @@ pub fn graph_cell(
     GraphOutcome {
         kind,
         backend,
-        vertices: clean.vertices,
-        edges: clean.edges,
+        vertices: graph.vertices,
+        edges: graph.edges,
         clean_ios: clean.total_ios,
-        rounds_run: clean.rounds_run,
-        clusters: clean.clusters,
+        rounds_run: graph.rounds_run,
+        clusters: graph.clusters,
         digest: clean.digest,
         max_unit_ios: max_unit,
         crash_points,

@@ -35,7 +35,7 @@ use emselect::multi_select;
 use emserve::{QueryServer, ServeOptions, Ticket};
 use emsort::external_sort;
 
-use crate::crash_sweep::{Algo, Backend};
+use crate::crash_sweep::{digest, Algo, Backend};
 use crate::harness::{emit, Scale, Table};
 
 const SEED: u64 = 20140623;
@@ -89,18 +89,6 @@ fn squeeze_ctx(backend: Backend, config: EmConfig) -> EmContext {
     }
 }
 
-fn fnv(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-fn digest(vals: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in vals {
-        h = fnv(h, v);
-    }
-    h
-}
-
 /// One algorithm run under the live budget: `Ok(digest)` or a typed
 /// memory rejection. Any *other* error is propagated (campaign failure).
 fn run_algo(
@@ -125,6 +113,10 @@ fn run_algo(
             }
             Ok(digest(parts.iter().map(|p| p.len())))
         }),
+        // Clustering's label lease is squeezed by EX-GRAPH's own runs.
+        Algo::Cluster => Err(EmError::config(
+            "the squeeze campaign has no clustering cell",
+        )),
     };
     match r {
         Ok(d) => Ok(Some(d)),

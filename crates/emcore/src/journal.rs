@@ -17,8 +17,9 @@
 //!   checksum ([`crate::block_checksum`]); a truncated or bit-flipped
 //!   journal fails verification on load instead of decoding to wrong state.
 //! * **Versioned** — the header records the state's `KIND` and `VERSION`;
-//!   loading a journal written by a different kind or an incompatible
-//!   version is rejected rather than misparsed.
+//!   a journal of another kind or state version is refused at load with
+//!   "written by an older format; rebuild the store / restart the job"
+//!   rather than misparsed.
 //!
 //! On the memory backend, committed documents live in the context itself
 //! (there is no directory to survive a real process exit); in-process
@@ -44,7 +45,9 @@
 //! torn.
 //!
 //! The body encoding belongs to the [`JournalState`] implementor; the
-//! convention in this workspace is line-oriented `key value…` text.
+//! convention in this workspace is line-oriented `key value…` text. The
+//! recoverable jobs all share one body codec, the
+//! [`crate::WorkLedger`]'s.
 
 use std::path::PathBuf;
 
@@ -141,10 +144,13 @@ impl Journal {
     pub fn commit<S: JournalState>(&self, state: &S) -> Result<()> {
         let mut body = String::new();
         state.encode(&mut body);
+        self.commit_body(S::KIND, S::VERSION, &body)
+    }
+
+    /// [`Journal::commit`] for a body already encoded under `kind`/`version`.
+    pub(crate) fn commit_body(&self, kind: &str, version: u32, body: &str) -> Result<()> {
         let doc = format!(
-            "{MAGIC} {FORMAT} {} {} {} {:016x}\n{body}",
-            S::KIND,
-            S::VERSION,
+            "{MAGIC} {FORMAT} {kind} {version} {} {:016x}\n{body}",
             body.len(),
             block_checksum(body.as_bytes()),
         );
@@ -178,9 +184,19 @@ impl Journal {
     }
 
     /// Load and verify the committed document. `Ok(None)` when no document
-    /// exists; an error when one exists but fails verification (wrong kind,
-    /// incompatible version, torn or corrupt body).
+    /// exists; an error when one exists but fails verification (torn or
+    /// corrupt body) or was written in another format (a different kind or
+    /// state version, or the `v1` envelope).
     pub fn load<S: JournalState>(&self) -> Result<Option<S>> {
+        match self.load_body(S::KIND, S::VERSION)? {
+            Some(body) => S::decode(&body).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// [`Journal::load`] up to the body: verify the envelope, the expected
+    /// `kind`/`version` and the checksum, and return the raw body.
+    pub(crate) fn load_body(&self, kind: &str, version: u32) -> Result<Option<String>> {
         let doc = match self.path() {
             Some(p) => match std::fs::read_to_string(&p) {
                 Ok(s) => s,
@@ -199,10 +215,7 @@ impl Journal {
         if fields.len() > 1 && fields[0] == MAGIC && fields[1] == "v1" {
             // A v1 envelope and the block files it references were
             // checksummed with the previous function.
-            return Err(EmError::config(format!(
-                "journal {}: journal written by an older emcore format; rebuild the store",
-                self.name
-            )));
+            return Err(self.older_format("an emjournal v1 envelope"));
         }
         if fields.len() != 6 || fields[0] != MAGIC || fields[1] != FORMAT {
             return Err(EmError::config(format!(
@@ -210,22 +223,12 @@ impl Journal {
                 self.name
             )));
         }
-        if fields[2] != S::KIND {
-            return Err(EmError::config(format!(
-                "journal {}: kind {} where {} was expected",
-                self.name,
-                fields[2],
-                S::KIND
-            )));
-        }
-        let version: u32 = fields[3]
-            .parse()
-            .map_err(|_| EmError::config(format!("journal {}: bad version", self.name)))?;
-        if version != S::VERSION {
-            return Err(EmError::config(format!(
-                "journal {}: version {version} where {} was expected",
-                self.name,
-                S::VERSION
+        // A kind or state version other than the expected one is a document
+        // from another encoding: refuse it before its body can misparse.
+        if fields[2] != kind || fields[3] != version.to_string() {
+            return Err(self.older_format(&format!(
+                "a {} v{} document where {kind} v{version} was expected",
+                fields[2], fields[3]
             )));
         }
         let len: usize = fields[4]
@@ -239,7 +242,14 @@ impl Journal {
                 self.name
             )));
         }
-        S::decode(body).map(Some)
+        Ok(Some(body.to_string()))
+    }
+
+    fn older_format(&self, found: &str) -> EmError {
+        EmError::config(format!(
+            "journal {}: {found}, written by an older format; rebuild the store / restart the job",
+            self.name
+        ))
     }
 
     /// Remove the committed document (idempotent).
@@ -403,7 +413,7 @@ mod tests {
             other => panic!("expected a Config error, got {other:?}"),
         };
         assert!(
-            msg.contains("journal written by an older emcore format; rebuild the store"),
+            msg.contains("written by an older format; rebuild the store / restart the job"),
             "{msg}"
         );
         assert!(!msg.contains("torn or corrupt"), "{msg}");

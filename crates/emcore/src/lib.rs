@@ -24,8 +24,9 @@
 //!   [`Tagged`], [`Indexed`] provided).
 //! * [`SpillVec`] — bookkeeping arrays that can be written out to disk
 //!   across recursive calls.
-//! * [`Journal`] — durable, atomically-committed checkpoint documents for
-//!   crash-recoverable algorithms ([`JournalState`] encode/decode).
+//! * [`Journal`] — durable, atomically-committed checkpoint documents
+//!   ([`JournalState`] encode/decode); crash-recoverable algorithms
+//!   checkpoint through one [`WorkLedger`] and run via [`run_recoverable`].
 //!
 //! ## Example
 //!
@@ -87,7 +88,7 @@ pub use metrics::{
 };
 pub use pool::{BlockCache, PinnedBlock};
 pub use record::{Indexed, KeyValue, Record, Tagged};
-pub use recovery::{run_recoverable, RecoverableJob};
+pub use recovery::{run_recoverable, InputId, LedgerDoc, Manifest, RecoverableJob, WorkLedger};
 pub use report::{SpanNode, TraceReport};
 pub use rng::SplitMix64;
 pub use spill::SpillVec;

@@ -1,20 +1,20 @@
 //! Crash-recoverable clustering: rounds checkpointed through the
-//! shared journal so a crash redoes at most one round.
+//! shared [`WorkLedger`] so a crash redoes at most one round.
 //!
 //! The only algorithm state that must survive a crash is the current
 //! label file — everything inside a round (annotation files, mover and
 //! admission files, the half-written next label file) is derived and
-//! unwinds with the crash. The [`ClusterManifest`] therefore journals
-//! just `(round, labels file, moves history)` plus the input binding,
-//! commits after every completed round (the labels file marked
-//! persistent *before* the previous round's file is released), and
-//! [`ClusterManifest::load`] resumes across processes on a
-//! directory-backed context, garbage-collecting the crashed attempt's
-//! orphans.
+//! unwinds with the crash. The [`ClusterManifest`] therefore records
+//! just `(round, labels file, moves history)` plus the option echo; the
+//! ledger binds the input as `(edge file id, len, vertices)`, commits
+//! after every completed round (the new labels file persistent before
+//! the previous round's file is released), and [`ClusterManifest::load`]
+//! resumes across processes on a directory-backed context,
+//! garbage-collecting the crashed attempt's orphans.
 
 use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, RecoverableJob,
-    Result,
+    run_recoverable, EmContext, EmError, EmFile, InputId, LedgerDoc, Manifest, RecoverableJob,
+    Result, WorkLedger,
 };
 
 use crate::build::Graph;
@@ -27,11 +27,9 @@ pub const CLUSTER_JOURNAL: &str = "graph-cluster";
 /// one label-propagation round (unit 0 is the identity labeling).
 #[derive(Debug)]
 pub struct ClusterManifest {
-    /// Input binding: canonical edge file `(id, len)`, vertex count, and
-    /// the option echo — a journal must not replay against a different
-    /// graph or different parameters.
-    input: Option<(u64, u64)>,
-    vertices: u64,
+    ledger: WorkLedger,
+    /// The option echo — a journal must not replay with different
+    /// parameters.
     rounds: u32,
     cap: u64,
     /// Completed rounds and their label file.
@@ -40,84 +38,25 @@ pub struct ClusterManifest {
     /// Vertices moved per completed round (a trailing 0 means the loop
     /// converged early and must not resume).
     moves: Vec<u64>,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
 }
 
-/// Serialised image of a [`ClusterManifest`] — what the journal stores.
-#[derive(Debug, PartialEq, Eq)]
-struct ClusterImage {
-    input: Option<(u64, u64)>,
-    vertices: u64,
-    rounds: u32,
-    cap: u64,
-    round: u32,
-    labels: Option<(u64, u64)>,
-    moves: Vec<u64>,
-    checkpoints: u64,
-}
+impl Manifest for ClusterManifest {
+    type Record = u64;
 
-impl JournalState for ClusterImage {
-    const KIND: &'static str = "graph-cluster";
-    const VERSION: u32 = 1;
-
-    fn encode(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "vertices {}", self.vertices);
-        let _ = writeln!(out, "rounds {}", self.rounds);
-        let _ = writeln!(out, "cap {}", self.cap);
-        let _ = writeln!(out, "round {}", self.round);
-        let _ = writeln!(out, "checkpoints {}", self.checkpoints);
-        if let Some((id, len)) = self.input {
-            let _ = writeln!(out, "input {id} {len}");
-        }
-        if let Some((id, len)) = self.labels {
-            let _ = writeln!(out, "labels {id} {len}");
-        }
-        for m in &self.moves {
-            let _ = writeln!(out, "moved {m}");
-        }
+    fn ledger(&self) -> &WorkLedger {
+        &self.ledger
     }
 
-    fn decode(body: &str) -> Result<Self> {
-        fn bad(line: &str) -> EmError {
-            EmError::config(format!("graph-cluster journal: bad line {line:?}"))
-        }
-        fn pair(rest: &str, line: &str) -> Result<(u64, u64)> {
-            let (a, b) = rest.split_once(' ').ok_or_else(|| bad(line))?;
-            Ok((
-                a.parse().map_err(|_| bad(line))?,
-                b.parse().map_err(|_| bad(line))?,
-            ))
-        }
-        let mut img = ClusterImage {
-            input: None,
-            vertices: 0,
-            rounds: 0,
-            cap: 0,
-            round: 0,
-            labels: None,
-            moves: Vec::new(),
-            checkpoints: 0,
-        };
-        for line in body.lines() {
-            let (key, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-            match key {
-                "vertices" => img.vertices = rest.parse().map_err(|_| bad(line))?,
-                "rounds" => img.rounds = rest.parse().map_err(|_| bad(line))?,
-                "cap" => img.cap = rest.parse().map_err(|_| bad(line))?,
-                "round" => img.round = rest.parse().map_err(|_| bad(line))?,
-                "checkpoints" => img.checkpoints = rest.parse().map_err(|_| bad(line))?,
-                "input" => img.input = Some(pair(rest, line)?),
-                "labels" => img.labels = Some(pair(rest, line)?),
-                "moved" => img.moves.push(rest.parse().map_err(|_| bad(line))?),
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(img)
+    fn ledger_mut(&mut self) -> &mut WorkLedger {
+        &mut self.ledger
+    }
+
+    fn write_state(&self, doc: &mut LedgerDoc) {
+        doc.push_num("rounds", self.rounds.into());
+        doc.push_num("cap", self.cap);
+        doc.push_num("round", self.round.into());
+        doc.push_files("labels", self.labels.as_slice());
+        doc.push_nums("moves", &self.moves);
     }
 }
 
@@ -125,64 +64,33 @@ impl ClusterManifest {
     /// A fresh manifest for `opts`: no rounds completed.
     pub fn new(ctx: &EmContext, opts: &ClusterOptions) -> Self {
         Self {
-            input: None,
-            vertices: 0,
+            ledger: WorkLedger::new(ctx, CLUSTER_JOURNAL, None),
             rounds: opts.rounds,
             cap: opts.max_cluster_size,
             round: 0,
             labels: None,
             moves: Vec::new(),
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal: Journal::new(ctx, CLUSTER_JOURNAL).expect("valid journal name"),
         }
     }
 
-    /// Reload an interrupted clustering from `ctx`'s backing directory:
-    /// read the `graph-cluster` journal, reopen the checkpointed label
-    /// file, and garbage-collect block files the crashed attempt
-    /// orphaned (anything referenced by neither the journal nor the
-    /// recorded input). Returns `Ok(None)` when no journal exists.
-    ///
-    /// As with the sort manifest, the sweep assumes one recoverable job
-    /// per backing directory and requires a directory-backed context.
+    /// Reload an interrupted clustering from `ctx`'s backing directory via
+    /// [`WorkLedger::load`] (which sweeps the crashed attempt's orphans)
+    /// and reopen the checkpointed label file. Returns `Ok(None)` when no
+    /// journal exists; requires a directory-backed context.
     pub fn load(ctx: &EmContext) -> Result<Option<Self>> {
-        if ctx.backing_dir().is_none() {
-            return Err(EmError::config(
-                "ClusterManifest::load: cross-process resume requires a directory-backed context",
-            ));
-        }
-        let journal = Journal::new(ctx, CLUSTER_JOURNAL).expect("valid journal name");
-        let Some(img) = journal.load::<ClusterImage>()? else {
+        let Some((ledger, doc)) = WorkLedger::load(ctx, CLUSTER_JOURNAL)? else {
             return Ok(None);
         };
-        let mut keep = Vec::new();
-        if let Some((id, _)) = img.input {
-            keep.push(id);
-        }
-        if let Some((id, _)) = img.labels {
-            keep.push(id);
-        }
-        ctx.gc_orphans(&keep)?;
-        let labels = img
-            .labels
-            .map(|(id, len)| ctx.open_file::<u64>(id, len))
-            .transpose()?;
+        let narrow = |v: u64| {
+            u32::try_from(v).map_err(|_| EmError::config("graph-cluster: round count overflows"))
+        };
         Ok(Some(Self {
-            input: img.input,
-            vertices: img.vertices,
-            rounds: img.rounds,
-            cap: img.cap,
-            round: img.round,
-            labels,
-            moves: img.moves,
-            checkpoints: img.checkpoints,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
+            ledger,
+            rounds: narrow(doc.num("rounds")?)?,
+            cap: doc.num("cap")?,
+            round: narrow(doc.num("round")?)?,
+            labels: doc.open(ctx, "labels")?.pop(),
+            moves: doc.nums("moves"),
         }))
     }
 
@@ -191,93 +99,9 @@ impl ClusterManifest {
         self.round
     }
 
-    /// Completed work units so far (each one a checkpoint).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
-    }
-
-    /// Whether the clustering has completed and yielded its output.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Vertices moved per completed round.
     pub fn moves(&self) -> &[u64] {
         &self.moves
-    }
-
-    /// The `(id, len)` of the canonical edge file this manifest
-    /// clusters, once known.
-    pub fn input(&self) -> Option<(u64, u64)> {
-        self.input
-    }
-
-    /// The vertex-id space of the bound graph (0 until bound).
-    pub fn vertices(&self) -> u64 {
-        self.vertices
-    }
-
-    /// Largest I/O cost of any single completed work unit — the
-    /// empirical bound on crash rework (≤ one round).
-    pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
-    }
-
-    /// A human-readable snapshot of the manifest.
-    pub fn describe(&self) -> String {
-        let mut s = String::from("em-graph-cluster-manifest v1\n");
-        self.image().encode(&mut s);
-        s
-    }
-
-    fn image(&self) -> ClusterImage {
-        ClusterImage {
-            input: self.input,
-            vertices: self.vertices,
-            rounds: self.rounds,
-            cap: self.cap,
-            round: self.round,
-            labels: self.labels.as_ref().map(|f| (f.id(), f.len())),
-            moves: self.moves.clone(),
-            checkpoints: self.checkpoints,
-        }
-    }
-
-    fn begin_unit(&mut self, ctx: &EmContext) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, ctx.stats().snapshot())
-    }
-
-    fn end_unit(&mut self, ctx: &EmContext, redo: bool, before: Counters) {
-        let spent = ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.done = true;
-        self.journal.remove()
-    }
-
-    /// Install `next` as the checkpointed label file: persist it, commit
-    /// the journal, then release the previous round's file — in that
-    /// order, so every committed image references a durable file.
-    fn swap_labels(&mut self, next: EmFile<u64>) -> Result<()> {
-        next.set_persistent(true);
-        let prev = self.labels.replace(next);
-        self.checkpoint()?;
-        if let Some(prev) = prev {
-            prev.set_persistent(false);
-        }
-        Ok(())
     }
 }
 
@@ -300,42 +124,14 @@ impl<'a> ClusterJob<'a> {
 impl RecoverableJob for ClusterJob<'_> {
     type Output = Clustering;
 
-    fn kind(&self) -> &'static str {
-        "graph_cluster"
+    fn ledger(&mut self) -> &mut WorkLedger {
+        &mut self.manifest.ledger
     }
 
-    fn journal_name(&self) -> &'static str {
-        CLUSTER_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        let edges = self.graph.edges();
-        match self.manifest.input {
-            None => {
-                self.manifest.input = Some((edges.id(), edges.len()));
-                self.manifest.vertices = self.graph.vertices();
-                Ok(())
-            }
-            Some((id, len)) if (id, len) != (edges.id(), edges.len()) => {
-                Err(EmError::config(format!(
-                    "graph_cluster: manifest belongs to edge file (id {id}, len {len}), \
-                     got (id {}, len {})",
-                    edges.id(),
-                    edges.len()
-                )))
-            }
-            Some(_) if self.manifest.vertices != self.graph.vertices() => {
-                Err(EmError::config(format!(
-                    "graph_cluster: manifest belongs to a {}-vertex graph, got {}",
-                    self.manifest.vertices,
-                    self.graph.vertices()
-                )))
-            }
-            Some(_) => Ok(()),
+    fn input(&self) -> InputId {
+        InputId {
+            vertices: Some(self.graph.vertices()),
+            ..InputId::of(self.graph.edges())
         }
     }
 
@@ -364,46 +160,49 @@ fn drive_rounds(
 
     // Unit 0: the identity labeling.
     if manifest.labels.is_none() {
-        let (redo, before) = manifest.begin_unit(ctx);
-        let _unit = ctx.stats().trace_span(|| "graph/round#0".to_string());
-        let init = initial_labels(ctx, graph.vertices())?;
-        manifest.swap_labels(init)?;
-        manifest.end_unit(ctx, redo, before);
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |_| "graph/round#0".to_string());
+        manifest.labels = Some(initial_labels(ctx, graph.vertices())?);
+        manifest.checkpoint(Vec::new())?;
+        manifest.ledger.end_unit(unit);
     }
 
     // Units 1..: one round each, until the budget or convergence.
     while manifest.round < manifest.rounds && manifest.moves.last() != Some(&0) {
-        let (redo, before) = manifest.begin_unit(ctx);
-        let _unit = ctx
-            .stats()
-            .trace_span(|| format!("graph/round#{}", manifest.round + 1));
-        let old = manifest.labels.as_ref().ok_or_else(|| {
-            EmError::config("graph cluster invariant violated: missing label file")
-        })?;
+        let round = manifest.round + 1;
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |_| format!("graph/round#{round}"));
+        let old = manifest.labels.as_ref().ok_or_else(missing_labels)?;
         let (next, moved) = lp_round(ctx, graph, old, manifest.cap, &lease)?;
-        manifest.round += 1;
+        manifest.round = round;
         manifest.moves.push(moved);
-        manifest.swap_labels(next)?;
-        manifest.end_unit(ctx, redo, before);
+        // ---- checkpoint: the new labels are durable; only then is the
+        // previous round's file released ----
+        let prev = manifest.labels.replace(next);
+        manifest.checkpoint(prev.into_iter().collect())?;
+        manifest.ledger.end_unit(unit);
     }
 
     // Finalize: read-only summary work after the last checkpoint — a
-    // crash here redoes no round.
-    let labels = manifest
-        .labels
-        .take()
-        .ok_or_else(|| EmError::config("graph cluster invariant violated: missing label file"))?;
-    let clusters = count_clusters(&labels)?;
+    // crash here redoes no round, so the labels stay in the manifest until
+    // the summary I/O is done.
+    let clusters = count_clusters(manifest.labels.as_ref().ok_or_else(missing_labels)?)?;
     let result = Clustering {
         rounds_run: manifest.round,
         moves: manifest.moves.clone(),
         clusters,
-        labels,
+        labels: manifest.labels.take().ok_or_else(missing_labels)?,
     };
-    manifest.finish()?;
+    manifest.ledger.finish()?;
     // The output leaves the manifest's custody: normal drop semantics.
     result.labels.set_persistent(false);
     Ok(result)
+}
+
+fn missing_labels() -> EmError {
+    EmError::config("graph cluster invariant violated: missing label file")
 }
 
 /// Cluster `graph` with per-round checkpointing — the one-shot entry
@@ -469,21 +268,21 @@ mod tests {
         let mut manifest = ClusterManifest::new(&ctx, &opts);
         let crashed = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest));
         assert!(matches!(crashed, Err(EmError::Crashed)));
-        assert!(!manifest.is_done());
+        assert!(!manifest.ledger().is_done());
         plan.clear_crash();
         ctx.clear_fault_plan();
         let got = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
-        assert!(manifest.is_done());
+        assert!(manifest.ledger().is_done());
         assert_eq!(labels_digest(&got.labels).unwrap(), want_digest);
         assert_eq!(got.moves, want.moves);
         // ≤ 1 redone round, by construction and by accounting.
         let stats = ctx.stats().snapshot();
         assert!(stats.redone_ios > 0, "redone work must be accounted");
         assert!(
-            stats.redone_ios <= manifest.max_unit_ios(),
+            stats.redone_ios <= manifest.ledger().max_unit_ios(),
             "rework {} exceeds one round {}",
             stats.redone_ios,
-            manifest.max_unit_ios()
+            manifest.ledger().max_unit_ios()
         );
     }
 
@@ -551,7 +350,8 @@ mod tests {
                 .unwrap()
                 .expect("journal exists");
             let edges = ctx.open_file::<crate::Edge>(edges_id, edges_len).unwrap();
-            let g = crate::rebind_graph(&ctx, edges, manifest.vertices()).unwrap();
+            let vertices = manifest.ledger().input().and_then(|i| i.vertices);
+            let g = crate::rebind_graph(&ctx, edges, vertices.unwrap()).unwrap();
             let got = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
             assert_eq!(labels_digest(&got.labels).unwrap(), want_digest);
         }
@@ -560,19 +360,24 @@ mod tests {
 
     #[test]
     fn image_roundtrips_through_journal_encoding() {
-        let img = ClusterImage {
-            input: Some((3, 4096)),
-            vertices: 100,
-            rounds: 8,
-            cap: 32,
-            round: 5,
-            labels: Some((9, 100)),
-            moves: vec![40, 12, 3, 1, 0],
-            checkpoints: 6,
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let g = graph_on(&ctx, 9, 80, 600);
+        let opts = ClusterOptions {
+            rounds: 5,
+            max_cluster_size: 12,
         };
-        let mut body = String::new();
-        img.encode(&mut body);
-        assert_eq!(ClusterImage::decode(&body).unwrap(), img);
+        let plan = FaultPlan::new(0).fatal_at(500);
+        ctx.install_fault_plan(plan.clone());
+        let mut m = ClusterManifest::new(&ctx, &opts);
+        let r = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut m));
+        assert!(matches!(r, Err(EmError::Crashed)));
+        assert!(m.round() > 0, "crash landed after a round");
+        let loaded = ClusterManifest::load(&ctx).unwrap().unwrap();
+        assert_eq!(loaded.describe(), m.describe());
+        assert_eq!(loaded.moves(), m.moves());
+        let input = loaded.ledger().input().unwrap();
+        assert_eq!(input.vertices, Some(g.vertices()));
+        assert_eq!((input.id, input.len), (g.edges().id(), g.edges().len()));
     }
 
     #[test]

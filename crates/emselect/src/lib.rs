@@ -55,8 +55,6 @@ pub use multi_select::{
     multi_select_with, quantiles, select_rank, MsBaseCase, MsOptions,
 };
 pub use partition_out::{segs_len, ChainReader, Partition};
-#[allow(deprecated)]
-pub use recover::resume_multi_select;
 pub use recover::{
     multi_select_recoverable, MultiSelectJob, MultiSelectManifest, MULTI_SELECT_JOURNAL,
 };

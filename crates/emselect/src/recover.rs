@@ -51,11 +51,9 @@
 //! assert_eq!(got, want);
 //! ```
 
-#[cfg(test)]
-use emcore::from_hex;
 use emcore::{
-    run_recoverable, to_hex, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
+    run_recoverable, EmContext, EmError, EmFile, InputId, LedgerDoc, Manifest, Record,
+    RecoverableJob, Result, WorkLedger,
 };
 
 use crate::multi_partition::multi_partition_at_ranks;
@@ -65,140 +63,12 @@ use crate::partition_out::{segs_len, Partition};
 /// Name of the multi-selection checkpoint journal within its backing store.
 pub const MULTI_SELECT_JOURNAL: &str = "multi-select-manifest";
 
-fn rec_to_hex<T: Record>(r: &T) -> String {
-    let mut buf = vec![0u8; T::BYTES];
-    r.write_bytes(&mut buf);
-    to_hex(&buf)
-}
-
-#[cfg(test)]
-fn rec_from_hex<T: Record>(s: &str) -> Result<T> {
-    let buf = from_hex(s)?;
-    if buf.len() != T::BYTES {
-        return Err(EmError::config(format!(
-            "journaled record holds {} bytes, {} expected",
-            buf.len(),
-            T::BYTES
-        )));
-    }
-    Ok(T::read_bytes(&buf))
-}
-
-/// Serialised image of a [`MultiSelectManifest`] — what the journal stores.
-/// Partition segments appear as `(id, len)` pairs, answers as hex-encoded
-/// record payloads.
-#[derive(Debug, PartialEq, Eq)]
-struct MsImage {
-    input: (u64, u64),
-    m: usize,
-    partitioned: bool,
-    next_group: usize,
-    checkpoints: u64,
-    ranks: Vec<u64>,
-    offsets: Vec<u64>,
-    /// Per-group segment lists; groups not yet built (or already released)
-    /// are empty.
-    parts: Vec<Vec<(u64, u64)>>,
-    answers: Vec<String>,
-}
-
-impl JournalState for MsImage {
-    const KIND: &'static str = "multi-select-manifest";
-    const VERSION: u32 = 1;
-
-    fn encode(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "input {} {}", self.input.0, self.input.1);
-        let _ = writeln!(out, "m {}", self.m);
-        let _ = writeln!(out, "partitioned {}", self.partitioned);
-        let _ = writeln!(out, "next-group {}", self.next_group);
-        let _ = writeln!(out, "checkpoints {}", self.checkpoints);
-        for &r in &self.ranks {
-            let _ = writeln!(out, "rank {r}");
-        }
-        for &o in &self.offsets {
-            let _ = writeln!(out, "offset {o}");
-        }
-        for (i, segs) in self.parts.iter().enumerate() {
-            let _ = write!(out, "part {i}");
-            for (id, len) in segs {
-                let _ = write!(out, " {id} {len}");
-            }
-            let _ = writeln!(out);
-        }
-        for a in &self.answers {
-            let _ = writeln!(out, "answer {a}");
-        }
-    }
-
-    fn decode(body: &str) -> Result<Self> {
-        fn bad(line: &str) -> EmError {
-            EmError::config(format!("multi-select journal: bad line {line:?}"))
-        }
-        let mut img = MsImage {
-            input: (0, 0),
-            m: 1,
-            partitioned: false,
-            next_group: 0,
-            checkpoints: 0,
-            ranks: Vec::new(),
-            offsets: Vec::new(),
-            parts: Vec::new(),
-            answers: Vec::new(),
-        };
-        for line in body.lines() {
-            let (key, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-            match key {
-                "input" => {
-                    let (a, b) = rest.split_once(' ').ok_or_else(|| bad(line))?;
-                    img.input = (
-                        a.parse().map_err(|_| bad(line))?,
-                        b.parse().map_err(|_| bad(line))?,
-                    );
-                }
-                "m" => img.m = rest.parse().map_err(|_| bad(line))?,
-                "partitioned" => img.partitioned = rest.parse().map_err(|_| bad(line))?,
-                "next-group" => img.next_group = rest.parse().map_err(|_| bad(line))?,
-                "checkpoints" => img.checkpoints = rest.parse().map_err(|_| bad(line))?,
-                "rank" => img.ranks.push(rest.parse().map_err(|_| bad(line))?),
-                "offset" => img.offsets.push(rest.parse().map_err(|_| bad(line))?),
-                "part" => {
-                    let mut it = rest.split(' ');
-                    let idx: usize = it
-                        .next()
-                        .ok_or_else(|| bad(line))?
-                        .parse()
-                        .map_err(|_| bad(line))?;
-                    if idx != img.parts.len() {
-                        return Err(bad(line));
-                    }
-                    let rest: Vec<&str> = it.collect();
-                    if !rest.len().is_multiple_of(2) {
-                        return Err(bad(line));
-                    }
-                    let mut segs = Vec::with_capacity(rest.len() / 2);
-                    for pair in rest.chunks(2) {
-                        segs.push((
-                            pair[0].parse().map_err(|_| bad(line))?,
-                            pair[1].parse().map_err(|_| bad(line))?,
-                        ));
-                    }
-                    img.parts.push(segs);
-                }
-                "answer" => img.answers.push(rest.to_string()),
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(img)
-    }
-}
-
 /// Checkpointed state of a recoverable multi-selection. Owns the prepass
 /// partitions of groups not yet selected; survives any number of failed
 /// resume attempts.
 #[derive(Debug)]
 pub struct MultiSelectManifest<T: Record> {
-    ctx: EmContext,
+    ledger: WorkLedger,
     opts: MsOptions,
     /// Caller's rank list, in caller order (the output order).
     ranks: Vec<u64>,
@@ -208,8 +78,6 @@ pub struct MultiSelectManifest<T: Record> {
     m: usize,
     /// Number of rank groups `g = ⌈K/m⌉`.
     groups: usize,
-    /// Input file identity `(id, len)`.
-    input: (u64, u64),
     /// The partition prepass (unit 0) has completed (vacuously true when
     /// `g ≤ 1`).
     partitioned: bool,
@@ -220,11 +88,36 @@ pub struct MultiSelectManifest<T: Record> {
     /// Found elements for groups `0..next_group`, in sorted-rank order.
     answers: Vec<T>,
     next_group: usize,
-    checkpoints: u64,
-    done: bool,
-    in_flight: Option<u64>,
-    max_unit_ios: u64,
-    journal: Journal,
+}
+
+impl<T: Record> Manifest for MultiSelectManifest<T> {
+    type Record = T;
+
+    fn ledger(&self) -> &WorkLedger {
+        &self.ledger
+    }
+
+    fn ledger_mut(&mut self) -> &mut WorkLedger {
+        &mut self.ledger
+    }
+
+    /// Partition segments per group (released groups are empty); answers
+    /// as one hex payload of their record bytes.
+    fn write_state(&self, doc: &mut LedgerDoc) {
+        doc.push_num("m", self.m as u64);
+        doc.push_num("partitioned", self.partitioned.into());
+        doc.push_num("next-group", self.next_group as u64);
+        doc.push_nums("ranks", &self.ranks);
+        doc.push_nums("offsets", &self.offsets);
+        for p in &self.parts {
+            doc.push_files("part", p.segments());
+        }
+        let mut bytes = vec![0u8; self.answers.len() * T::BYTES];
+        for (a, buf) in self.answers.iter().zip(bytes.chunks_exact_mut(T::BYTES)) {
+            a.write_bytes(buf);
+        }
+        doc.push_hex("answers", &bytes);
+    }
 }
 
 impl<T: Record> MultiSelectManifest<T> {
@@ -233,7 +126,7 @@ impl<T: Record> MultiSelectManifest<T> {
     /// length and charges the synthetic read of the caller's rank list,
     /// mirroring [`crate::multi_select_with`].
     pub fn new(input: &EmFile<T>, ranks: &[u64], opts: MsOptions) -> Result<Self> {
-        let ctx = input.ctx().clone();
+        let ctx = input.ctx();
         let n = input.len();
         for &r in ranks {
             if r == 0 || r > n {
@@ -245,95 +138,28 @@ impl<T: Record> MultiSelectManifest<T> {
         let mut sorted: Vec<u64> = ranks.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let m = base_case_capacity_n::<T>(&ctx, n, &opts);
+        let m = base_case_capacity_n::<T>(ctx, n, &opts);
         let groups = sorted.len().div_ceil(m.max(1));
-        let journal = Journal::new(&ctx, MULTI_SELECT_JOURNAL).expect("valid journal name");
         Ok(Self {
+            ledger: WorkLedger::new(ctx, MULTI_SELECT_JOURNAL, Some(InputId::of(input))),
             opts,
             ranks: ranks.to_vec(),
             sorted,
             m,
             groups,
-            input: (input.id(), n),
             // A single group (or no ranks) needs no prepass.
             partitioned: groups <= 1,
             parts: Vec::new(),
             offsets: vec![0],
             answers: Vec::new(),
             next_group: 0,
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
-            ctx,
         })
-    }
-
-    /// Whether selection has completed and yielded its output.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Completed work units so far (each one a checkpoint).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
     }
 
     /// Number of rank groups (`⌈K/m⌉`; each is one work unit, plus one
     /// prepass unit when there is more than one group).
     pub fn groups(&self) -> usize {
         self.groups
-    }
-
-    /// Largest I/O cost of any single completed work unit — the empirical
-    /// bound on crash rework.
-    pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
-    }
-
-    /// A human-readable snapshot of the manifest.
-    pub fn describe(&self) -> String {
-        let mut s = String::from("em-multi-select-manifest v1\n");
-        self.image().encode(&mut s);
-        s
-    }
-
-    fn image(&self) -> MsImage {
-        MsImage {
-            input: self.input,
-            m: self.m,
-            partitioned: self.partitioned,
-            next_group: self.next_group,
-            checkpoints: self.checkpoints,
-            ranks: self.ranks.clone(),
-            offsets: self.offsets.clone(),
-            parts: self
-                .parts
-                .iter()
-                .map(|p| p.segments().iter().map(|s| (s.id(), s.len())).collect())
-                .collect(),
-            answers: self.answers.iter().map(rec_to_hex).collect(),
-        }
-    }
-
-    fn begin_unit(&mut self) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, self.ctx.stats().snapshot())
-    }
-
-    fn end_unit(&mut self, redo: bool, before: Counters) {
-        let spent = self.ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            self.ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
     }
 }
 
@@ -356,31 +182,12 @@ impl<'a, T: Record> MultiSelectJob<'a, T> {
 impl<T: Record> RecoverableJob for MultiSelectJob<'_, T> {
     type Output = Vec<T>;
 
-    fn kind(&self) -> &'static str {
-        "resume_multi_select"
+    fn ledger(&mut self) -> &mut WorkLedger {
+        &mut self.manifest.ledger
     }
 
-    fn journal_name(&self) -> &'static str {
-        MULTI_SELECT_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        // Identity was bound at `MultiSelectManifest::new`; only verify.
-        if self.manifest.input != (self.input.id(), self.input.len()) {
-            return Err(EmError::config(format!(
-                "resume_multi_select: manifest belongs to input (id {}, len {}), \
-                 got (id {}, len {})",
-                self.manifest.input.0,
-                self.manifest.input.1,
-                self.input.id(),
-                self.input.len()
-            )));
-        }
-        Ok(())
+    fn input(&self) -> InputId {
+        InputId::of(self.input)
     }
 
     fn drive(&mut self, ctx: &EmContext) -> Result<Vec<T>> {
@@ -396,21 +203,7 @@ impl<T: Record> RecoverableJob for MultiSelectJob<'_, T> {
 /// failures.
 pub fn multi_select_recoverable<T: Record>(input: &EmFile<T>, ranks: &[u64]) -> Result<Vec<T>> {
     let mut manifest = MultiSelectManifest::new(input, ranks, MsOptions::default())?;
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut MultiSelectJob::new(input, &mut manifest))
-}
-
-/// Drive the multi-selection of `input` forward from wherever `manifest`
-/// left off, until completion or the next terminal error. Idempotent over
-/// failures: only the interrupted work unit is redone on the next call.
-/// Returns the selected elements in the caller's original rank order.
-#[deprecated(note = "use emcore::run_recoverable with emselect::MultiSelectJob")]
-pub fn resume_multi_select<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut MultiSelectManifest<T>,
-) -> Result<Vec<T>> {
-    let ctx = manifest.ctx.clone();
-    run_recoverable(&ctx, &mut MultiSelectJob::new(input, manifest))
+    run_recoverable(input.ctx(), &mut MultiSelectJob::new(input, &mut manifest))
 }
 
 fn resume_inner<T: Record>(
@@ -425,30 +218,29 @@ fn resume_inner<T: Record>(
     // Unit 0: partition prepass at every m-th target rank (only when the
     // rank set spans several groups).
     if !manifest.partitioned {
-        let (redo, before) = manifest.begin_unit();
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |_| "unit/select-prepass#0".to_string());
         let boundaries: Vec<u64> = (1..g).map(|i| manifest.sorted[i * m - 1]).collect();
         let parts = multi_partition_at_ranks(input, &boundaries)?;
         debug_assert_eq!(parts.len(), g);
         // ---- checkpoint: all partitions durable, referenced by the journal ----
-        for p in &parts {
-            for s in p.segments() {
-                s.set_persistent(true);
-            }
-        }
         let mut offsets = Vec::with_capacity(g);
         offsets.push(0);
         offsets.extend(boundaries);
         manifest.parts = parts;
         manifest.offsets = offsets;
         manifest.partitioned = true;
-        manifest.checkpoint()?;
-        manifest.end_unit(redo, before);
+        manifest.checkpoint(Vec::new())?;
+        manifest.ledger.end_unit(unit);
     }
 
     // Units 1..=g: per-group base-case selection.
     while manifest.next_group < g {
         let i = manifest.next_group;
-        let (redo, before) = manifest.begin_unit();
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |cp| format!("unit/select-group#{cp}"));
         let lo = i * m;
         let hi = ((i + 1) * m).min(k);
         let offset = manifest.offsets[i];
@@ -460,27 +252,21 @@ fn resume_inner<T: Record>(
             multi_select_segs(ctx, std::slice::from_ref(input), &local, manifest.opts)?
         } else {
             debug_assert_eq!(segs_len(manifest.parts[i].segments()), {
-                let end = manifest
-                    .offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(manifest.input.1);
+                let end = manifest.offsets.get(i + 1).copied().unwrap_or(input.len());
                 end - offset
             });
             multi_select_segs(ctx, manifest.parts[i].segments(), &local, manifest.opts)?
         };
         manifest.answers.extend(found);
         manifest.next_group += 1;
-        // ---- checkpoint: the group's splitter elements are durable ----
-        manifest.checkpoint()?;
-        // Only now is the group's partition releasable.
-        if g > 1 {
-            let part = std::mem::replace(&mut manifest.parts[i], Partition::empty());
-            for s in part.segments() {
-                s.set_persistent(false);
-            }
-        }
-        manifest.end_unit(redo, before);
+        // ---- checkpoint: the group's splitter elements are durable, and
+        // only then is its partition released ----
+        let retired = match manifest.parts.get_mut(i) {
+            Some(part) => std::mem::replace(part, Partition::empty()).into_segments(),
+            None => Vec::new(),
+        };
+        manifest.checkpoint(retired)?;
+        manifest.ledger.end_unit(unit);
     }
 
     // Map answers (sorted-rank order) back to the caller's order.
@@ -493,8 +279,7 @@ fn resume_inner<T: Record>(
             manifest.answers[i]
         })
         .collect();
-    manifest.done = true;
-    manifest.journal.remove()?;
+    manifest.ledger.finish()?;
     Ok(out)
 }
 
@@ -510,7 +295,6 @@ mod tests {
     }
 
     /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_multi_select` is only a deprecated shim over exactly this.)
     fn resume(f: &EmFile<u64>, m: &mut MultiSelectManifest<u64>) -> Result<Vec<u64>> {
         let c = f.ctx().clone();
         run_recoverable(&c, &mut MultiSelectJob::new(f, m))
@@ -536,7 +320,7 @@ mod tests {
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
         let got = resume(&f, &mut m).unwrap();
         assert_eq!(got, want);
-        assert!(m.is_done());
+        assert!(m.ledger().is_done());
         assert!(m.groups() > 1, "override must force several groups");
         let stats = c.stats().snapshot();
         assert_eq!(stats.redone_ios, 0);
@@ -569,10 +353,7 @@ mod tests {
         assert!(MultiSelectManifest::new(&f, &[4], MsOptions::default()).is_err());
     }
 
-    // Keeps the deprecated `resume_multi_select` shim covered until it is
-    // removed; every other test resumes via `run_recoverable` directly.
     #[test]
-    #[allow(deprecated)]
     fn crash_and_resume_preserves_output_and_bounds_rework() {
         let c = EmContext::new_in_memory(EmConfig::tiny());
         let n = 5000u64;
@@ -587,7 +368,7 @@ mod tests {
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
         let mut crashes = 0;
         let got = loop {
-            match resume_multi_select(&f, &mut m) {
+            match resume(&f, &mut m) {
                 Ok(out) => break out,
                 Err(EmError::Crashed) => {
                     crashes += 1;
@@ -602,10 +383,10 @@ mod tests {
         let stats = c.stats().snapshot();
         assert!(stats.redone_ios > 0);
         assert!(
-            stats.redone_ios <= m.max_unit_ios(),
+            stats.redone_ios <= m.ledger().max_unit_ios(),
             "rework {} vs unit bound {}",
             stats.redone_ios,
-            m.max_unit_ios()
+            m.ledger().max_unit_ios()
         );
     }
 
@@ -652,30 +433,14 @@ mod tests {
         c.install_fault_plan(plan.clone());
         let mut m = MultiSelectManifest::new(&f, &ranks, many_group_opts()).unwrap();
         assert!(resume(&f, &mut m).is_err());
-        assert!(m.checkpoints() > 0, "crash planted after first checkpoint");
+        assert!(
+            m.ledger().checkpoints() > 0,
+            "crash planted after first checkpoint"
+        );
         assert!(meta.exists(), "journal persisted after crash");
         plan.clear_crash();
         let got = resume(&f, &mut m).unwrap();
         assert_eq!(got.len(), ranks.len());
         assert!(!meta.exists(), "journal removed after completion");
-    }
-
-    #[test]
-    fn image_roundtrips_through_journal_encoding() {
-        let img = MsImage {
-            input: (3, 9000),
-            m: 4,
-            partitioned: true,
-            next_group: 2,
-            checkpoints: 3,
-            ranks: vec![100, 50, 100],
-            offsets: vec![0, 60, 120],
-            parts: vec![vec![], vec![(7, 60), (8, 60)], vec![(9, 8880)]],
-            answers: vec![rec_to_hex(&42u64), rec_to_hex(&u64::MAX)],
-        };
-        let mut body = String::new();
-        img.encode(&mut body);
-        assert_eq!(MsImage::decode(&body).unwrap(), img);
-        assert_eq!(rec_from_hex::<u64>(&img.answers[1]).unwrap(), u64::MAX);
     }
 }

@@ -62,8 +62,6 @@ mod shard;
 pub use api::{QueryService, ServiceTicket};
 pub use catalog::{validate_name, Catalog, DatasetEntry, ShardMap, CATALOG_JOURNAL};
 pub use index::{approx_from_skeleton, AnswerStats, Segment, SplitterIndex};
-#[allow(deprecated)]
-pub use protocol::serve_lines;
 pub use protocol::{serve_session, Request, Response, PROTOCOL_VERSION};
 pub use server::{
     BreakerState, Client, DatasetHealth, QueryAnswer, QueryOptions, QueryServer, ServeOptions,

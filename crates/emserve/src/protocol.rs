@@ -39,10 +39,10 @@
 
 use std::io::{BufRead, Write};
 
-use emcore::{EmContext, EmError, Result};
+use emcore::{EmError, Result};
 
 use crate::api::{QueryService, ServiceTicket};
-use crate::server::{BreakerState, DatasetHealth, QueryServer, ServeOptions, ServeReport};
+use crate::server::{BreakerState, DatasetHealth, ServeReport};
 
 /// The protocol version this build speaks. A client's `hello` carrying a
 /// different version is refused with
@@ -501,25 +501,6 @@ pub fn serve_session<S: QueryService<u64>>(
     svc.stats()
 }
 
-/// Drive a scripted session against a fresh [`QueryServer`] started on
-/// `ctx`. Returns the server's final [`ServeReport`].
-#[deprecated(
-    note = "use serve_session with a QueryService (a QueryServer or a Router) — this \
-            wrapper always starts a fresh single-store server"
-)]
-pub fn serve_lines(
-    ctx: &EmContext,
-    opts: ServeOptions,
-    input: impl BufRead,
-    out: impl Write,
-    err: impl Write,
-) -> Result<ServeReport> {
-    let mut server = QueryServer::<u64>::start(ctx, opts)?;
-    let session = serve_session(&server, input, out, err);
-    let report = server.shutdown();
-    session.and(report)
-}
-
 /// Read a flat little-endian u64 file (the `emsplit gen` format).
 fn read_u64_file(path: &str) -> Result<Vec<u64>> {
     let bytes = std::fs::read(path)?;
@@ -538,7 +519,8 @@ fn read_u64_file(path: &str) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcore::{EmConfig, SplitMix64};
+    use crate::server::{QueryServer, ServeOptions};
+    use emcore::{EmConfig, EmContext, SplitMix64};
 
     fn start_server(ctx: &EmContext) -> QueryServer<u64> {
         QueryServer::<u64>::start(ctx, ServeOptions::default()).unwrap()
@@ -711,33 +693,5 @@ mod tests {
         }
         assert!(Response::parse("gibberish").is_err());
         assert!(Response::parse("ok stats queries=x").is_err());
-    }
-
-    // Keeps the deprecated serve_lines shim covered until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_serve_lines_still_serves_a_session() {
-        let dir = std::env::temp_dir().join(format!("emserve-shim-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.bin");
-        let v: Vec<u64> = (0..100).rev().collect();
-        let bytes: Vec<u8> = v.iter().flat_map(|x| x.to_le_bytes()).collect();
-        std::fs::write(&data_path, bytes).unwrap();
-        let ctx = EmContext::new_in_memory(EmConfig::tiny());
-        let script = format!("open ds {}\nrank ds 1 100\nquit\n", data_path.display());
-        let mut out = Vec::new();
-        let mut errs = Vec::new();
-        let report = serve_lines(
-            &ctx,
-            ServeOptions::default(),
-            script.as_bytes(),
-            &mut out,
-            &mut errs,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert_eq!(out.lines().collect::<Vec<_>>(), vec!["0", "99"]);
-        assert_eq!(report.queries, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -35,8 +35,6 @@ mod runs;
 mod sort;
 
 pub use loser_tree::{LoserTree, SliceSource, Source};
-#[allow(deprecated)]
-pub use manifest::resume_sort;
 pub use manifest::{external_sort_recoverable, SortJob, SortManifest, SORT_JOURNAL};
 pub use merge::{
     max_merge_fan_in, max_merge_fan_in_now, merge_once, merge_runs, merge_runs_with_fan_in,

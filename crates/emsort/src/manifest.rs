@@ -66,8 +66,8 @@
 //! ```
 
 use emcore::{
-    run_recoverable, Counters, EmContext, EmError, EmFile, Journal, JournalState, Record,
-    RecoverableJob, Result,
+    run_recoverable, EmContext, EmError, EmFile, InputId, LedgerDoc, Manifest, Record,
+    RecoverableJob, Result, WorkLedger,
 };
 
 use crate::merge::{max_merge_fan_in, merge_once};
@@ -80,9 +80,7 @@ pub const SORT_JOURNAL: &str = "sort-manifest";
 /// directory backend) process restarts via [`SortManifest::load`].
 #[derive(Debug)]
 pub struct SortManifest<T: Record> {
-    /// Input file identity `(id, len)`, pinned at the first resume so a
-    /// journal cannot be replayed against the wrong input.
-    input: Option<(u64, u64)>,
+    ledger: WorkLedger,
     /// Input records consumed into *completed* runs.
     consumed: u64,
     /// Run formation finished.
@@ -93,88 +91,25 @@ pub struct SortManifest<T: Record> {
     next: Vec<EmFile<T>>,
     /// Merge fan-in (clamped to the memory budget at construction).
     fan_in: usize,
-    /// Completed work units (runs formed + groups merged + level swaps).
-    checkpoints: u64,
-    /// The sort has produced its final output.
-    done: bool,
-    /// Checkpoint index of the unit currently (or last) being executed —
-    /// when a unit starts and this already equals `checkpoints`, the unit
-    /// is a redo of one a crash interrupted.
-    in_flight: Option<u64>,
-    /// Largest I/O cost of any single completed work unit (the empirical
-    /// rework bound a crash can force).
-    max_unit_ios: u64,
-    journal: Journal,
 }
 
-/// Plain serialised image of a [`SortManifest`] — what the journal stores.
-/// Files appear as `(id, len)` pairs; [`SortManifest::load`] reopens them.
-#[derive(Debug, PartialEq, Eq)]
-struct SortImage {
-    input: Option<(u64, u64)>,
-    consumed: u64,
-    formed: bool,
-    fan_in: usize,
-    checkpoints: u64,
-    runs: Vec<(u64, u64)>,
-    next: Vec<(u64, u64)>,
-}
+impl<T: Record> Manifest for SortManifest<T> {
+    type Record = T;
 
-impl JournalState for SortImage {
-    const KIND: &'static str = "sort-manifest";
-    const VERSION: u32 = 1;
-
-    fn encode(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "consumed {}", self.consumed);
-        let _ = writeln!(out, "formed {}", self.formed);
-        let _ = writeln!(out, "fan_in {}", self.fan_in);
-        let _ = writeln!(out, "checkpoints {}", self.checkpoints);
-        if let Some((id, len)) = self.input {
-            let _ = writeln!(out, "input {id} {len}");
-        }
-        for (id, len) in &self.runs {
-            let _ = writeln!(out, "run {id} {len}");
-        }
-        for (id, len) in &self.next {
-            let _ = writeln!(out, "merged {id} {len}");
-        }
+    fn ledger(&self) -> &WorkLedger {
+        &self.ledger
     }
 
-    fn decode(body: &str) -> Result<Self> {
-        fn bad(line: &str) -> EmError {
-            EmError::config(format!("sort-manifest journal: bad line {line:?}"))
-        }
-        fn pair(rest: &str, line: &str) -> Result<(u64, u64)> {
-            let (a, b) = rest.split_once(' ').ok_or_else(|| bad(line))?;
-            Ok((
-                a.parse().map_err(|_| bad(line))?,
-                b.parse().map_err(|_| bad(line))?,
-            ))
-        }
-        let mut img = SortImage {
-            input: None,
-            consumed: 0,
-            formed: false,
-            fan_in: 2,
-            checkpoints: 0,
-            runs: Vec::new(),
-            next: Vec::new(),
-        };
-        for line in body.lines() {
-            let (key, rest) = line.split_once(' ').ok_or_else(|| bad(line))?;
-            match key {
-                "consumed" => img.consumed = rest.parse().map_err(|_| bad(line))?,
-                "formed" => img.formed = rest.parse().map_err(|_| bad(line))?,
-                "fan_in" => img.fan_in = rest.parse().map_err(|_| bad(line))?,
-                "checkpoints" => img.checkpoints = rest.parse().map_err(|_| bad(line))?,
-                "input" => img.input = Some(pair(rest, line)?),
-                "run" => img.runs.push(pair(rest, line)?),
-                "merged" => img.next.push(pair(rest, line)?),
-                _ => return Err(bad(line)),
-            }
-        }
-        Ok(img)
+    fn ledger_mut(&mut self) -> &mut WorkLedger {
+        &mut self.ledger
+    }
+
+    fn write_state(&self, doc: &mut LedgerDoc) {
+        doc.push_num("consumed", self.consumed);
+        doc.push_num("formed", self.formed.into());
+        doc.push_num("fan_in", self.fan_in as u64);
+        doc.push_files("runs", &self.runs);
+        doc.push_files("next", &self.next);
     }
 }
 
@@ -184,153 +119,38 @@ impl<T: Record> SortManifest<T> {
     pub fn new(ctx: &EmContext, fan_in: Option<usize>) -> Self {
         let max = max_merge_fan_in::<T>(ctx.config());
         Self {
-            input: None,
+            ledger: WorkLedger::new(ctx, SORT_JOURNAL, None),
             consumed: 0,
             formed: false,
             runs: Vec::new(),
             next: Vec::new(),
             fan_in: fan_in.unwrap_or(max).clamp(2, max),
-            checkpoints: 0,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal: Journal::new(ctx, SORT_JOURNAL).expect("valid journal name"),
         }
     }
 
-    /// Reload an interrupted sort from `ctx`'s backing directory: read the
-    /// `sort-manifest` journal, reopen every run file it references, and
-    /// garbage-collect block files the crashed attempt orphaned (anything
-    /// in the directory referenced by neither the journal nor the recorded
-    /// input). Returns `Ok(None)` when no journal exists.
-    ///
-    /// The sweep assumes one recoverable job per backing directory — every
-    /// live file must be reachable from this journal. Requires a
-    /// directory-backed context (memory-backed block files cannot outlive
-    /// their context).
+    /// Reload an interrupted sort from `ctx`'s backing directory via
+    /// [`WorkLedger::load`] (which sweeps the crashed attempt's orphans)
+    /// and reopen every run file. Returns `Ok(None)` when no journal
+    /// exists; requires a directory-backed context.
     pub fn load(ctx: &EmContext) -> Result<Option<Self>> {
-        if ctx.backing_dir().is_none() {
-            return Err(EmError::config(
-                "SortManifest::load: cross-process resume requires a directory-backed context",
-            ));
-        }
-        let journal = Journal::new(ctx, SORT_JOURNAL).expect("valid journal name");
-        let Some(img) = journal.load::<SortImage>()? else {
+        let Some((ledger, doc)) = WorkLedger::load(ctx, SORT_JOURNAL)? else {
             return Ok(None);
         };
-        let mut keep: Vec<u64> = img
-            .runs
-            .iter()
-            .chain(&img.next)
-            .map(|&(id, _)| id)
-            .collect();
-        if let Some((id, _)) = img.input {
-            keep.push(id);
-        }
-        ctx.gc_orphans(&keep)?;
-        let reopen = |files: &[(u64, u64)]| -> Result<Vec<EmFile<T>>> {
-            files
-                .iter()
-                .map(|&(id, len)| ctx.open_file::<T>(id, len))
-                .collect()
-        };
         Ok(Some(Self {
-            input: img.input,
-            consumed: img.consumed,
-            formed: img.formed,
-            runs: reopen(&img.runs)?,
-            next: reopen(&img.next)?,
-            fan_in: img.fan_in.max(2),
-            checkpoints: img.checkpoints,
-            done: false,
-            in_flight: None,
-            max_unit_ios: 0,
-            journal,
+            ledger,
+            consumed: doc.num("consumed")?,
+            formed: doc.num("formed")? != 0,
+            runs: doc.open(ctx, "runs")?,
+            next: doc.open(ctx, "next")?,
+            fan_in: usize::try_from(doc.num("fan_in")?)
+                .map_err(|_| EmError::config("sort-manifest: fan_in overflows usize"))?
+                .max(2),
         }))
-    }
-
-    /// Input records consumed into completed runs.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Whether run formation has completed.
-    pub fn formed(&self) -> bool {
-        self.formed
-    }
-
-    /// Whether the sort has completed and yielded its output.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Completed work units so far (each one a checkpoint).
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints
     }
 
     /// Sorted runs currently held (current level + completed outputs).
     pub fn num_runs(&self) -> usize {
         self.runs.len() + self.next.len()
-    }
-
-    /// The `(id, len)` of the input file this manifest sorts, once known —
-    /// what a resuming process passes to [`emcore::EmContext::open_file`].
-    pub fn input(&self) -> Option<(u64, u64)> {
-        self.input
-    }
-
-    /// Largest I/O cost of any single work unit completed through this
-    /// manifest value — the empirical bound on crash rework.
-    pub fn max_unit_ios(&self) -> u64 {
-        self.max_unit_ios
-    }
-
-    /// A human-readable snapshot of the manifest.
-    pub fn describe(&self) -> String {
-        let mut s = String::from("em-sort-manifest v1\n");
-        self.image().encode(&mut s);
-        s
-    }
-
-    fn image(&self) -> SortImage {
-        SortImage {
-            input: self.input,
-            consumed: self.consumed,
-            formed: self.formed,
-            fan_in: self.fan_in,
-            checkpoints: self.checkpoints,
-            runs: self.runs.iter().map(|r| (r.id(), r.len())).collect(),
-            next: self.next.iter().map(|r| (r.id(), r.len())).collect(),
-        }
-    }
-
-    /// Begin a work unit: returns whether this is a redo of an interrupted
-    /// unit, plus the counter snapshot to diff at the end.
-    fn begin_unit(&mut self, ctx: &EmContext) -> (bool, Counters) {
-        let redo = self.in_flight == Some(self.checkpoints);
-        self.in_flight = Some(self.checkpoints);
-        (redo, ctx.stats().snapshot())
-    }
-
-    /// Account a completed unit's I/O (and its rework, if it was a redo).
-    fn end_unit(&mut self, ctx: &EmContext, redo: bool, before: Counters) {
-        let spent = ctx.stats().snapshot().since(&before).total_ios();
-        self.max_unit_ios = self.max_unit_ios.max(spent);
-        if redo {
-            ctx.stats().record_redone_ios(spent);
-        }
-    }
-
-    /// Record a completed work unit: durably commit the manifest image.
-    fn checkpoint(&mut self, _ctx: &EmContext) -> Result<()> {
-        self.checkpoints += 1;
-        self.journal.commit(&self.image())
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        self.done = true;
-        self.journal.remove()
     }
 }
 
@@ -353,34 +173,12 @@ impl<'a, T: Record> SortJob<'a, T> {
 impl<T: Record> RecoverableJob for SortJob<'_, T> {
     type Output = EmFile<T>;
 
-    fn kind(&self) -> &'static str {
-        "resume_sort"
+    fn ledger(&mut self) -> &mut WorkLedger {
+        &mut self.manifest.ledger
     }
 
-    fn journal_name(&self) -> &'static str {
-        SORT_JOURNAL
-    }
-
-    fn is_done(&self) -> bool {
-        self.manifest.done
-    }
-
-    fn check_input(&mut self) -> Result<()> {
-        match self.manifest.input {
-            None => {
-                self.manifest.input = Some((self.input.id(), self.input.len()));
-                Ok(())
-            }
-            Some((id, len)) if (id, len) != (self.input.id(), self.input.len()) => {
-                Err(EmError::config(format!(
-                    "resume_sort: manifest belongs to input (id {id}, len {len}), \
-                     got (id {}, len {})",
-                    self.input.id(),
-                    self.input.len()
-                )))
-            }
-            Some(_) => Ok(()),
-        }
+    fn input(&self) -> InputId {
+        InputId::of(self.input)
     }
 
     fn drive(&mut self, ctx: &EmContext) -> Result<EmFile<T>> {
@@ -399,7 +197,7 @@ impl<T: Record> RecoverableJob for SortJob<'_, T> {
         let r = merge_remaining(self.manifest, ctx);
         drop(phase);
         let out = r?;
-        self.manifest.finish()?;
+        self.manifest.ledger.finish()?;
         // The output leaves the manifest's custody: normal drop semantics.
         out.set_persistent(false);
         Ok(out)
@@ -415,23 +213,6 @@ pub fn external_sort_recoverable<T: Record>(input: &EmFile<T>) -> Result<EmFile<
     let ctx = input.ctx().clone();
     let mut manifest = SortManifest::new(&ctx, None);
     run_recoverable(&ctx, &mut SortJob::new(input, &mut manifest))
-}
-
-/// Drive the sort of `input` forward from wherever `manifest` left off,
-/// until completion or the next terminal error.
-///
-/// Idempotent over failures: call once on a fresh manifest to start, and
-/// call again with the same manifest after handling an error (e.g. clearing
-/// a simulated crash with [`emcore::FaultPlan::clear_crash`]) — only the
-/// interrupted work unit is redone. Returns the sorted output; afterwards
-/// the manifest is [`SortManifest::is_done`] and must not be reused.
-#[deprecated(note = "use emcore::run_recoverable with emsort::SortJob")]
-pub fn resume_sort<T: Record>(
-    input: &EmFile<T>,
-    manifest: &mut SortManifest<T>,
-) -> Result<EmFile<T>> {
-    let ctx = input.ctx().clone();
-    run_recoverable(&ctx, &mut SortJob::new(input, manifest))
 }
 
 fn form_remaining_runs<T: Record>(
@@ -452,11 +233,9 @@ fn form_remaining_runs<T: Record>(
             want,
             "recoverable run formation load buffer",
         )?;
-        let (redo, before) = manifest.begin_unit(ctx);
-        // Trace-only span per work unit: redo points land inside it.
-        let _unit = ctx
-            .stats()
-            .trace_span(|| format!("unit/run#{}", manifest.checkpoints));
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |cp| format!("unit/run#{cp}"));
         // A fresh positioned reader each unit: a crashed unit must not
         // leave reader state behind, and positioning costs ≤ 1 extra I/O.
         let mut reader = input.reader_at(manifest.consumed)?;
@@ -473,14 +252,13 @@ fn form_remaining_runs<T: Record>(
         w.push_all(&load)?;
         let run = w.finish()?;
         // ---- checkpoint: the run is fully on storage ----
-        run.set_persistent(true);
         manifest.consumed += run.len();
         manifest.runs.push(run);
-        manifest.checkpoint(ctx)?;
-        manifest.end_unit(ctx, redo, before);
+        manifest.checkpoint(Vec::new())?;
+        manifest.ledger.end_unit(unit);
     }
     manifest.formed = true;
-    manifest.checkpoint(ctx)?;
+    manifest.checkpoint(Vec::new())?;
     Ok(())
 }
 
@@ -496,7 +274,7 @@ fn merge_remaining<T: Record>(
                 // ---- checkpoint: level complete, outputs become inputs ----
                 _ => {
                     manifest.runs = std::mem::take(&mut manifest.next);
-                    manifest.checkpoint(ctx)?;
+                    manifest.checkpoint(Vec::new())?;
                 }
             }
             continue;
@@ -509,30 +287,22 @@ fn merge_remaining<T: Record>(
             // it alone would copy every block for nothing.
             let run = manifest.runs.pop().ok_or_else(level_underflow)?;
             manifest.next.push(run);
-            manifest.checkpoint(ctx)?;
+            manifest.checkpoint(Vec::new())?;
             continue;
         }
         let g = manifest.fan_in.min(manifest.runs.len());
-        let (redo, before) = manifest.begin_unit(ctx);
-        // Trace-only span per work unit: redo points land inside it.
-        let _unit = ctx
-            .stats()
-            .trace_span(|| format!("unit/merge#{}", manifest.checkpoints));
+        let unit = manifest
+            .ledger
+            .begin_unit(ctx, |cp| format!("unit/merge#{cp}"));
         // Merge the group *before* releasing its inputs: a crash inside
         // merge_once drops only the partial output file, and the manifest
         // still owns every input run for the redo.
         let merged = merge_once(ctx, &manifest.runs[..g])?;
-        merged.set_persistent(true);
         manifest.next.push(merged);
-        // The group's inputs are retired from the manifest: restore normal
-        // drop-deletes semantics before releasing them.
-        for r in &manifest.runs[..g] {
-            r.set_persistent(false);
-        }
-        manifest.runs.drain(..g); // frees the merged runs' storage
-                                  // ---- checkpoint: group complete ----
-        manifest.checkpoint(ctx)?;
-        manifest.end_unit(ctx, redo, before);
+        // ---- checkpoint: group complete; its input runs are released ----
+        let retired = manifest.runs.drain(..g).collect();
+        manifest.checkpoint(retired)?;
+        manifest.ledger.end_unit(unit);
     }
 }
 
@@ -550,7 +320,6 @@ mod tests {
     }
 
     /// The canonical resume idiom: drive the job via `run_recoverable`.
-    /// (`resume_sort` is only a deprecated shim over exactly this.)
     fn resume(f: &EmFile<u64>, m: &mut SortManifest<u64>) -> Result<EmFile<u64>> {
         let c = f.ctx().clone();
         run_recoverable(&c, &mut SortJob::new(f, m))
@@ -616,10 +385,7 @@ mod tests {
         );
     }
 
-    // Keeps the deprecated `resume_sort` shim covered until it is removed;
-    // every other test resumes via `run_recoverable` directly.
     #[test]
-    #[allow(deprecated)]
     fn crash_then_resume_completes() {
         let c = ctx();
         let data = shuffled(1500);
@@ -628,11 +394,14 @@ mod tests {
         c.install_fault_plan(plan.clone());
         let mut m = SortManifest::new(&c, None);
         assert!(matches!(resume(&f, &mut m), Err(EmError::Crashed)));
-        assert!(!m.is_done());
-        assert!(m.checkpoints() > 0, "work before the crash was kept");
+        assert!(!m.ledger().is_done());
+        assert!(
+            m.ledger().checkpoints() > 0,
+            "work before the crash was kept"
+        );
         plan.clear_crash();
         let sorted = resume(&f, &mut m).unwrap();
-        assert!(m.is_done());
+        assert!(m.ledger().is_done());
         let mut want = data;
         want.sort_unstable();
         assert_eq!(sorted.to_vec().unwrap(), want);
@@ -640,10 +409,10 @@ mod tests {
         let stats = c.stats().snapshot();
         assert!(stats.redone_ios > 0, "redone work must be accounted");
         assert!(
-            stats.redone_ios <= m.max_unit_ios(),
+            stats.redone_ios <= m.ledger().max_unit_ios(),
             "rework {} exceeds one unit {}",
             stats.redone_ios,
-            m.max_unit_ios()
+            m.ledger().max_unit_ios()
         );
     }
 
@@ -712,18 +481,19 @@ mod tests {
 
     #[test]
     fn image_roundtrips_through_journal_encoding() {
-        let img = SortImage {
-            input: Some((7, 4096)),
-            consumed: 1234,
-            formed: true,
-            fan_in: 6,
-            checkpoints: 9,
-            runs: vec![(8, 224), (9, 224)],
-            next: vec![(12, 448)],
-        };
-        let mut body = String::new();
-        img.encode(&mut body);
-        assert_eq!(SortImage::decode(&body).unwrap(), img);
+        let c = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let f = EmFile::from_slice(&c, &shuffled(1000)).unwrap();
+        f.set_persistent(true);
+        let plan = FaultPlan::new(0).fatal_at(150);
+        c.install_fault_plan(plan.clone());
+        let mut m = SortManifest::new(&c, Some(3));
+        assert!(resume(&f, &mut m).is_err());
+        let loaded = SortManifest::<u64>::load(&c).unwrap().unwrap();
+        assert_eq!(loaded.describe(), m.describe());
+        assert_eq!(loaded.ledger().input(), Some(InputId::of(&f)));
+        assert_eq!(loaded.num_runs(), m.num_runs());
+        assert!(loaded.num_runs() > 0 && loaded.fan_in == 3);
+        f.set_persistent(false);
     }
 
     #[test]

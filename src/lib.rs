@@ -79,9 +79,9 @@ pub mod prelude {
     pub use emcore::metrics::render_series_report;
     pub use emcore::{
         run_recoverable, BlockCache, Clock, EmConfig, EmContext, EmError, EmFile, FaultPlan,
-        HistogramSnapshot, Journal, JsonlSink, ManualClock, MetricSample, MetricsRegistry,
-        MetricsSnapshot, Record, RecoverableJob, Result, RetryPolicy, RingSink, Sampler,
-        TraceReport, TraceSink, WallClock,
+        HistogramSnapshot, Journal, JsonlSink, Manifest, ManualClock, MetricSample,
+        MetricsRegistry, MetricsSnapshot, Record, RecoverableJob, Result, RetryPolicy, RingSink,
+        Sampler, TraceReport, TraceSink, WallClock,
     };
     pub use emgraph::{
         build_graph, cluster, cluster_buckets, cluster_sizes, count_clusters, degree_buckets,
@@ -93,8 +93,6 @@ pub mod prelude {
         multi_select, multi_select_recoverable, quantiles, select_rank, MsOptions, MultiSelectJob,
         MultiSelectManifest, Partition,
     };
-    #[allow(deprecated)]
-    pub use emserve::serve_lines;
     pub use emserve::{
         serve_session, shard_fleet_in_memory, shard_fleet_on_disk, BreakerState, Catalog,
         QueryAnswer, QueryOptions, QueryServer, QueryService, Request, Response, Router,

@@ -1,7 +1,9 @@
 //! Property tests for the fault-injection + recovery subsystem (seeded
 //! deterministic loops; the workspace builds offline with no proptest).
 //!
-//! The three contracted properties of the crash-recoverable sort:
+//! The three contracted properties of the crash-recoverable sort (the
+//! multi-selection, partitioning and clustering sweeps below check the
+//! same redo bound for the other recoverable jobs):
 //!
 //! 1. **Fault-schedule equivalence** — under any seeded fault schedule
 //!    whose transients eventually succeed, the sorted output is identical
@@ -13,7 +15,7 @@
 //!    unit (the largest single run formation or merge group).
 
 use em_splitters::prelude::*;
-use emcore::{EmError, FaultKind, FaultPlan, FaultSpec, RetryPolicy, SplitMix64, Trigger};
+use emcore::{EmError, FaultKind, FaultPlan, FaultSpec, InputId, RetryPolicy, SplitMix64, Trigger};
 use emselect::{multi_select_recoverable, MsOptions, MultiSelectJob, MultiSelectManifest};
 use emsort::{external_sort_recoverable, SortJob, SortManifest};
 
@@ -337,10 +339,10 @@ fn multi_select_crash_sweep_exhaustive() {
         assert_eq!(got, want, "crash_at={crash_at}");
         let stats = c.stats().snapshot();
         assert!(
-            stats.redone_ios <= m.max_unit_ios(),
+            stats.redone_ios <= m.ledger().max_unit_ios(),
             "crash_at={crash_at}: redone {} vs unit bound {}",
             stats.redone_ios,
-            m.max_unit_ios()
+            m.ledger().max_unit_ios()
         );
     }
 }
@@ -382,11 +384,80 @@ fn partitioning_crash_sweep_exhaustive() {
         assert_eq!(got, want, "crash_at={crash_at}");
         let stats = c.stats().snapshot();
         assert!(
-            stats.redone_ios <= m.max_unit_ios(),
+            stats.redone_ios <= m.ledger().max_unit_ios(),
             "crash_at={crash_at}: redone {} vs unit bound {}",
             stats.redone_ios,
-            m.max_unit_ios()
+            m.ledger().max_unit_ios()
         );
+    }
+}
+
+/// Block files on disk outside `live`, plus stale journal temp files.
+fn orphans_on_disk(c: &EmContext, live: &[u64]) -> usize {
+    let stray = c.list_file_ids().unwrap();
+    let stray = stray.iter().filter(|id| !live.contains(id)).count();
+    let tmp = std::fs::read_dir(c.backing_dir().unwrap())
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().ends_with(".journal.tmp")
+        })
+        .count();
+    stray + tmp
+}
+
+#[test]
+fn cluster_crash_sweep_exhaustive() {
+    let pairs = rmat_edges(4, 40, 7);
+    let opts = ClusterOptions {
+        rounds: 3,
+        max_cluster_size: 0,
+    };
+    // Build the graph, then install the plan: crash indices count only the
+    // clustering's own device attempts.
+    let setup = |plan: &FaultPlan| {
+        let c = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let raw = edges_from_pairs(&c, &pairs).unwrap();
+        let g = build_graph(&c, &raw, &BuildOptions::default()).unwrap();
+        c.install_fault_plan(plan.clone());
+        (c, raw, g)
+    };
+    let clean = FaultPlan::new(0);
+    let want = {
+        let (c, _raw, g) = setup(&clean);
+        let out = cluster(&g, &opts).unwrap();
+        c.oracle(|| labels_digest(&out.labels)).unwrap()
+    };
+    let attempts = clean.attempts();
+    assert!(attempts > 0);
+
+    for crash_at in 0..attempts {
+        let plan = FaultPlan::new(0).fatal_at(crash_at);
+        let (c, raw, g) = setup(&plan);
+        let mut m = ClusterManifest::new(&c, &opts);
+        let mut resumes = 0;
+        let got = loop {
+            match run_recoverable(&c, &mut ClusterJob::new(&g, &mut m)) {
+                Ok(out) => break out,
+                Err(EmError::Crashed) => {
+                    resumes += 1;
+                    assert!(resumes < 10, "crash_at={crash_at}: crash loop");
+                    plan.clear_crash();
+                }
+                Err(e) => panic!("crash_at={crash_at}: unexpected error: {e}"),
+            }
+        };
+        assert_eq!(resumes, 1, "crash_at={crash_at}");
+        let digest = c.oracle(|| labels_digest(&got.labels)).unwrap();
+        assert_eq!(digest, want, "crash_at={crash_at}");
+        let redone = c.stats().snapshot().redone_ios;
+        assert!(
+            redone <= m.ledger().max_unit_ios(),
+            "crash_at={crash_at}: redone {redone} vs unit bound {}",
+            m.ledger().max_unit_ios()
+        );
+        let live = [raw.id(), g.edges().id(), g.offsets().id(), got.labels.id()];
+        assert_eq!(orphans_on_disk(&c, &live), 0, "crash_at={crash_at}");
     }
 }
 
@@ -424,8 +495,11 @@ fn sort_manifest_survives_process_restart_on_disk() {
             run_recoverable(&c1, &mut SortJob::new(&f, &mut m)),
             Err(EmError::Crashed)
         ));
-        assert!(m.checkpoints() > 0, "crash landed after checkpoints");
-        (f.id(), f.len())
+        assert!(
+            m.ledger().checkpoints() > 0,
+            "crash landed after checkpoints"
+        );
+        InputId::of(&f)
         // c1, f, m all drop here: the "process" dies.
     };
     assert!(
@@ -443,9 +517,9 @@ fn sort_manifest_survives_process_restart_on_disk() {
         let mut m = SortManifest::load(&c2)
             .unwrap()
             .expect("journal present → manifest loads");
-        assert_eq!(m.input(), Some(input_identity));
+        assert_eq!(m.ledger().input(), Some(input_identity));
         let f2 = c2
-            .open_file::<u64>(input_identity.0, input_identity.1)
+            .open_file::<u64>(input_identity.id, input_identity.len)
             .unwrap();
         assert!(
             !dir.join("em-00004242.bin").exists(),
