@@ -582,6 +582,31 @@ impl EmContext {
         ))
     }
 
+    /// [`EmContext::try_tracked_vec`] for a working buffer that may come
+    /// out smaller than asked: request `want` records, halving the request
+    /// on a budget rejection down to `floor`, and return the buffer with
+    /// the capacity it got. Under a governor squeeze or tenant contention
+    /// the caller degrades (shorter runs, narrower windows) instead of
+    /// failing; only a budget too small for `floor` records surfaces the
+    /// typed [`crate::EmError::MemoryExceeded`].
+    pub fn try_tracked_vec_halving<T: Record>(
+        &self,
+        want: usize,
+        floor: usize,
+        context: &str,
+    ) -> Result<(TrackedVec<T>, usize)> {
+        let mut cap = want.max(floor);
+        loop {
+            match self.try_tracked_vec::<T>(cap, context) {
+                Ok(v) => return Ok((v, cap)),
+                Err(crate::error::EmError::MemoryExceeded { .. }) if cap > floor => {
+                    cap = (cap / 2).max(floor);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
     /// Fallible variant of [`EmContext::tracked_words`].
     pub fn try_tracked_words<T>(&self, cap: usize, context: &str) -> Result<TrackedVec<T>> {
         self.note_denial(TrackedVec::try_with_capacity(
@@ -646,6 +671,21 @@ fn parse_block_file_name(name: &std::ffi::OsStr) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn halving_allocation_degrades_then_fails_typed() {
+        let ctx = EmContext::new_in_memory_strict(EmConfig::tiny()); // M = 256
+        let _held = ctx.mem().charge(100, "held");
+        // 200 is refused, 100 fits next to the held 100 words.
+        let (v, cap) = ctx.try_tracked_vec_halving::<u64>(200, 16, "t").unwrap();
+        assert_eq!((cap, v.charged_words()), (100, 100));
+        assert_eq!(ctx.stats().snapshot().mem_denials, 1);
+        // Nothing left for the floor: the typed error surfaces.
+        assert!(matches!(
+            ctx.try_tracked_vec_halving::<u64>(64, 64, "t"),
+            Err(crate::error::EmError::MemoryExceeded { .. })
+        ));
+    }
 
     #[test]
     fn clones_share_stats() {

@@ -1,8 +1,8 @@
-//! Canonical graph construction: symmetrize → external sort → dedup +
-//! CSR offsets, all in sequential passes.
+//! Canonical graph construction: symmetrize into sorted runs → merge →
+//! dedup + CSR offsets, all in sequential passes.
 
 use emcore::{EmContext, EmError, EmFile, KeyValue, Record, Result};
-use emsort::external_sort;
+use emsort::RunWriter;
 
 use crate::edge::Edge;
 
@@ -98,10 +98,11 @@ impl Graph {
 }
 
 /// Canonicalize `raw` into a [`Graph`]: optionally symmetrize and drop
-/// self-loops (one pass), sort by `(src, dst)` via `emsort` (the
-/// parallel path at `workers > 1`, I/O- and digest-identical), then
-/// deduplicate and build the CSR offset index in one more sequential
-/// pass. Charged under the `graph/build` phase.
+/// self-loops while pushing edges into `emsort`'s run formation (one
+/// pass; the expanded edge list is never written unsorted), then merge
+/// the runs by `(src, dst)` and deduplicate and build the CSR offset index
+/// straight from the merged stream. Charged under the `graph/build`
+/// phase.
 pub fn build_graph(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Result<Graph> {
     let stats = ctx.stats().clone();
     let phase = stats.phase_guard("graph/build");
@@ -111,8 +112,9 @@ pub fn build_graph(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> 
 }
 
 fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Result<Graph> {
-    // Pass 1: expand (symmetrize / drop loops) and find the id space.
-    let mut w = ctx.writer::<Edge>()?;
+    // Pass 1: expand (symmetrize / drop loops) into sorted runs and find
+    // the id space. The composite (src, dst) key canonicalizes completely.
+    let mut runs = RunWriter::<Edge>::new(ctx);
     let mut r = raw.reader()?;
     let mut max_id: Option<u64> = None;
     while let Some(e) = r.next()? {
@@ -128,28 +130,27 @@ fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Resu
         if e.is_loop() && opts.drop_self_loops {
             continue;
         }
-        w.push(e)?;
+        runs.push(e)?;
         if opts.symmetrize && !e.is_loop() {
-            w.push(e.reversed())?;
+            runs.push(e.reversed())?;
         }
     }
-    let expanded = w.finish()?;
+    drop(r); // the merge below budgets for the two writers only
+    let mut runs = runs.finish()?;
     let vertices = opts.vertices.unwrap_or_else(|| max_id.map_or(0, |m| m + 1));
 
-    // Pass 2: one external sort canonicalizes completely (composite key).
-    let sorted = external_sort(&expanded)?;
-    drop(expanded);
-
-    // Pass 3: dedup + CSR offsets, sequentially.
+    // Pass 2: dedup + CSR offsets, straight from the last merge pass.
     let mut edges = ctx.writer::<Edge>()?;
     let mut offsets = ctx.writer::<u64>()?;
-    let mut sr = sorted.reader()?;
+    let b = ctx.config().block_size();
+    // The merge leaves room for the two writers' block buffers.
+    let mut sorted = runs.stream(2 * b)?;
     let mut prev: Option<Edge> = None;
     let mut next_v = 0u64; // first vertex whose offset is still unwritten
     let mut count = 0u64;
     let mut max_degree = 0u64;
     let mut cur_degree = 0u64;
-    while let Some(e) = sr.next()? {
+    while let Some(e) = sorted.next()? {
         if prev == Some(e) {
             continue;
         }
@@ -171,7 +172,6 @@ fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Resu
         offsets.push(count)?;
         next_v += 1;
     }
-    drop(sorted);
     Ok(Graph {
         edges: edges.finish()?,
         offsets: offsets.finish()?,

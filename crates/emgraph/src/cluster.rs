@@ -15,13 +15,18 @@
 //! When the governor's grant covers the whole label array (plus a
 //! max-degree scratch), the round is one sequential edge-file pass with
 //! RAM label lookups. When it does not, the label array is split into
-//! `W` windows: each window pass streams the edge file and appends
-//! `(src, label(dst))` annotation records for destinations resident in
-//! the window; one external sort of the annotations then groups every
-//! vertex's full neighbor-label multiset (sorted, so the mode is a
-//! run-length scan). Both paths feed identical multisets to the same
-//! mode accumulator, so a squeeze at a round boundary shrinks the
-//! window — it cannot change any label.
+//! `W` windows, and each window pass streams the edge file once. The
+//! edge file is sorted by source, so a pass gathers one vertex's labels
+//! of resident destinations at a time: it sorts them in the mode scratch
+//! and appends them as `(vertex, label)` records, which makes the pass's
+//! output one sorted run (a vertex overflowing the scratch cuts the run
+//! in two). After the last pass the window is dropped, and the merge of
+//! the runs — `emsort`'s streamed last pass — delivers every vertex's
+//! full neighbor-label multiset in ascending order straight into the
+//! mode accumulator, next to a scan of the round-start labels. Nothing
+//! is written but the runs themselves. Both paths feed identical
+//! multisets to the same mode accumulator, so a squeeze at a round
+//! boundary shrinks the window — it cannot change any label.
 //!
 //! ## Size constraint
 //!
@@ -35,8 +40,8 @@
 //! budget — and its outcome is deterministic for the same reason the
 //! mode is.
 
-use emcore::{EmContext, EmError, EmFile, Lease, Result, TrackedVec};
-use emsort::external_sort;
+use emcore::{EmContext, EmError, EmFile, Lease, Result, TrackedVec, Writer};
+use emsort::{external_sort, form_runs_load_sort, SortedRuns};
 
 use crate::build::Graph;
 use crate::edge::Edge;
@@ -88,14 +93,15 @@ pub fn labels_digest(labels: &EmFile<u64>) -> Result<u64> {
     Ok(h)
 }
 
-/// Count distinct labels by sorting the label multiset externally and
-/// scanning group boundaries.
+/// Count distinct labels: sorted runs of the label multiset, merged
+/// into a stream whose group boundaries are counted (the sorted labels
+/// are never written).
 pub fn count_clusters(labels: &EmFile<u64>) -> Result<u64> {
-    let sorted = external_sort(labels)?;
-    let mut r = sorted.reader()?;
+    let mut runs = SortedRuns::new(labels.ctx(), form_runs_load_sort(labels)?);
+    let mut sorted = runs.stream(0)?;
     let mut clusters = 0u64;
     let mut prev = None;
-    while let Some(l) = r.next()? {
+    while let Some(l) = sorted.next()? {
         if prev != Some(l) {
             clusters += 1;
             prev = Some(l);
@@ -116,8 +122,8 @@ pub(crate) fn initial_labels(ctx: &EmContext, n: u64) -> Result<EmFile<u64>> {
 
 /// Streaming mode-with-tie-breaks over one vertex's neighbor labels.
 /// Labels must be pushed in ascending order; both gather paths do so
-/// (a sorted scratch buffer, or the sorted annotation stream), which is
-/// what keeps their proposals bit-identical.
+/// (a sorted scratch buffer, or the merged `(vertex, label)` runs), which
+/// is what keeps their proposals bit-identical.
 struct ModeAccumulator {
     current: u64,
     current_count: u64,
@@ -178,30 +184,13 @@ fn stream_underflow(what: &str) -> EmError {
     ))
 }
 
-/// An adaptively sized label window: ask for `want` records, halve on
-/// memory denial down to a one-block floor (mirrors the recoverable
-/// sort's load buffer).
-fn adaptive_window(ctx: &EmContext, want: usize, floor: usize) -> Result<(TrackedVec<u64>, usize)> {
-    let mut cap = want.max(floor);
-    loop {
-        match ctx.try_tracked_vec::<u64>(cap, "graph label window") {
-            Ok(v) => return Ok((v, cap)),
-            Err(e @ EmError::MemoryExceeded { .. }) => {
-                if cap <= floor {
-                    return Err(e);
-                }
-                cap = (cap / 2).max(floor);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 /// Compute every vertex's proposed label for one round and feed
 /// `(vertex, round-start label, proposal)` to `emit` in ascending
-/// vertex order. Chooses the resident fast path or the windowed
-/// annotation path from the lease's live grant; both produce identical
-/// proposals.
+/// vertex order. Chooses the resident fast path or the windowed path
+/// from the lease's live grant; both produce identical proposals.
+///
+/// The caller holds one block buffer (its output writer) while `emit`
+/// runs; the windowed path budgets for it.
 fn propose_round(
     ctx: &EmContext,
     graph: &Graph,
@@ -214,30 +203,30 @@ fn propose_round(
         return Ok(());
     }
     let b = ctx.config().block_size();
-    let scratch_cap = graph.max_degree() as usize;
+    let max_degree = graph.max_degree() as usize;
     // Streaming readers/writers and the mode scratch ride on top of the
     // window; budget them out of the grant before sizing it.
-    let reserve = 6 * b + scratch_cap;
-    let want = lease
-        .granted()
-        .saturating_sub(reserve)
-        .max(b)
-        .min(n as usize);
+    let room = lease.granted().saturating_sub(6 * b);
+    let want = room.saturating_sub(max_degree).max(b).min(n as usize);
 
     if want >= n as usize {
         // Resident fast path: whole label array + neighborhood scratch
-        // in RAM, one sequential edge pass, no annotation file. Falls
-        // back to the windowed path if either charge is denied (the
-        // tracker's global budget can be tighter than the lease share).
+        // in RAM, one sequential edge pass, no runs to merge. Falls back
+        // to the windowed path if either charge is denied (the tracker's
+        // global budget can be tighter than the lease share).
         if let Ok(labels) = ctx.try_tracked_vec::<u64>(n as usize, "graph resident labels") {
-            if let Ok(scratch) =
-                ctx.try_tracked_vec::<u64>(scratch_cap.max(1), "graph mode scratch")
+            if let Ok(scratch) = ctx.try_tracked_vec::<u64>(max_degree.max(1), "graph mode scratch")
             {
                 return propose_resident(graph, old, labels, scratch, &mut emit);
             }
         }
     }
-    propose_windowed(ctx, graph, old, want, b, &mut emit)
+    // A window costs a full edge scan, while a vertex overflowing the
+    // scratch costs only one more run: past a quarter of the room the
+    // scratch yields to the window.
+    let scratch = max_degree.min((room / 4).max(b));
+    let window = room.saturating_sub(scratch).max(b).min(n as usize);
+    propose_windowed(ctx, graph, old, window, scratch, &mut emit)
 }
 
 fn propose_resident(
@@ -276,44 +265,23 @@ fn propose_resident(
     Ok(())
 }
 
+/// The windowed path: window passes write `(vertex, label)` runs, then
+/// the window is dropped and the merged runs stream into the mode
+/// accumulator next to a scan of the round-start labels.
 fn propose_windowed(
     ctx: &EmContext,
     graph: &Graph,
     old: &EmFile<u64>,
-    want: usize,
-    floor: usize,
+    window: usize,
+    scratch: usize,
     emit: &mut impl FnMut(u64, u64, u64) -> Result<()>,
 ) -> Result<()> {
     let n = graph.vertices();
-    let (mut win, window) = adaptive_window(ctx, want, floor)?;
-    // Window passes: annotate every edge whose destination is resident.
-    let mut ann = ctx.writer::<Edge>()?;
-    let mut lo = 0u64;
-    while lo < n {
-        let hi = (lo + window as u64).min(n);
-        win.clear();
-        let mut lr = old.reader_at(lo)?;
-        for _ in lo..hi {
-            win.push(lr.next()?.ok_or_else(|| stream_underflow("label"))?);
-        }
-        let mut er = graph.edges().reader()?;
-        while let Some(e) = er.next()? {
-            if e.dst >= lo && e.dst < hi {
-                ann.push(Edge {
-                    src: e.src,
-                    dst: win[(e.dst - lo) as usize],
-                })?;
-            }
-        }
-        lo = hi;
-    }
-    let ann = ann.finish()?;
-    // One sort groups each vertex's neighbor labels, ascending — the
-    // composite (src, dst) key means (vertex, label) order.
-    let sorted = external_sort(&ann)?;
-    drop(ann);
-    let mut ar = sorted.reader()?;
-    let mut pending = ar.next()?;
+    let mut runs = SortedRuns::new(ctx, window_runs(ctx, graph, old, window, scratch)?);
+    // The merge leaves room for the label reader below and the caller's
+    // output writer.
+    let mut merged = runs.stream(2 * ctx.config().block_size())?;
+    let mut pending = merged.next()?;
     let mut lr = old.reader()?;
     for v in 0..n {
         let old_l = lr.next()?.ok_or_else(|| stream_underflow("label"))?;
@@ -323,10 +291,83 @@ fn propose_windowed(
                 break;
             }
             acc.push(a.dst);
-            pending = ar.next()?;
+            pending = merged.next()?;
         }
         emit(v, old_l, acc.finish())?;
     }
+    Ok(())
+}
+
+/// One pass over the edge file per window of round-start labels. A pass
+/// gathers each source's labels of resident destinations in the mode
+/// scratch and, at the next source, appends them sorted as `(vertex,
+/// label)` records — so the pass writes one run sorted by `(vertex,
+/// label)`. A vertex whose resident labels overflow the scratch ends the
+/// run there and continues in a new one, which keeps every run sorted.
+fn window_runs(
+    ctx: &EmContext,
+    graph: &Graph,
+    old: &EmFile<u64>,
+    window: usize,
+    scratch: usize,
+) -> Result<Vec<EmFile<Edge>>> {
+    let n = graph.vertices();
+    let b = ctx.config().block_size();
+    let (mut win, window) = ctx.try_tracked_vec_halving::<u64>(window, b, "graph label window")?;
+    // A vertex never has more than a window's worth of resident labels.
+    let want = scratch.min(window).max(1);
+    let (mut labels, scratch) =
+        ctx.try_tracked_vec_halving::<u64>(want, want.min(b), "graph mode scratch")?;
+    let mut runs = Vec::new();
+    let mut lo = 0u64;
+    while lo < n {
+        let hi = (lo + window as u64).min(n);
+        win.clear();
+        let mut lr = old.reader_at(lo)?;
+        for _ in lo..hi {
+            win.push(lr.next()?.ok_or_else(|| stream_underflow("label"))?);
+        }
+        drop(lr);
+        let mut run = ctx.writer::<Edge>()?;
+        let mut er = graph.edges().reader()?;
+        let mut src = None;
+        while let Some(e) = er.next()? {
+            if e.dst < lo || e.dst >= hi {
+                continue;
+            }
+            if src != Some(e.src) {
+                append_sorted(&mut labels, src, &mut run)?;
+                src = Some(e.src);
+            } else if labels.len() == scratch {
+                append_sorted(&mut labels, src, &mut run)?;
+                runs.push(run.finish()?);
+                run = ctx.writer::<Edge>()?;
+            }
+            labels.push(win[(e.dst - lo) as usize]);
+        }
+        append_sorted(&mut labels, src, &mut run)?;
+        if !run.is_empty() {
+            runs.push(run.finish()?);
+        }
+        lo = hi;
+    }
+    Ok(runs)
+}
+
+/// Sort one vertex's gathered labels and append them to `run` as
+/// `(vertex, label)` records, leaving the scratch empty.
+fn append_sorted(
+    labels: &mut TrackedVec<u64>,
+    vertex: Option<u64>,
+    run: &mut Writer<Edge>,
+) -> Result<()> {
+    if let Some(src) = vertex {
+        labels.sort_unstable();
+        for &dst in labels.iter() {
+            run.push(Edge { src, dst })?;
+        }
+    }
+    labels.clear();
     Ok(())
 }
 
@@ -529,27 +570,85 @@ mod tests {
     #[test]
     fn proposals_invariant_to_window_size() {
         // Same graph, same round — once with a grant covering the whole
-        // label array, once with a budget so small the round must run
-        // multi-window. Digest-identical labels either way.
+        // label array, once with a strict budget so small the round must
+        // run multi-window. Digest-identical labels either way. The
+        // second input adds a hub joined to every vertex: its degree
+        // exceeds the small M, so its labels overflow the mode scratch
+        // (cutting runs) and the runs need a reduce pass before the
+        // streamed merge fits the strict budget.
         let mut rng = emcore::SplitMix64::new(17);
         let pairs: Vec<(u64, u64)> = (0..3000)
             .map(|_| (rng.below(400), rng.below(400)))
             .collect();
+        let mut with_hub = pairs.clone();
+        with_hub.extend((0..400).map(|v| (400, v)));
 
-        let big = EmContext::new_in_memory(EmConfig::new(1 << 16, 64).unwrap());
-        let small = EmContext::new_in_memory(EmConfig::new(256, 16).unwrap());
-        let mut digests = Vec::new();
-        for ctx in [&big, &small] {
-            let g = graph_on(ctx, &pairs);
-            let mut labels = initial_labels(ctx, g.vertices()).unwrap();
-            let lease = ctx.governor().lease("test", 0, 1).unwrap();
-            for _ in 0..3 {
-                let (next, _) = lp_round(ctx, &g, &labels, 0, &lease).unwrap();
-                labels = next;
+        for (input, hub) in [(&pairs, false), (&with_hub, true)] {
+            let big = EmContext::new_in_memory(EmConfig::new(1 << 16, 64).unwrap());
+            let small = EmContext::new_in_memory_strict(EmConfig::new(256, 16).unwrap());
+            let mut digests = Vec::new();
+            let mut reduce_ios = 0;
+            for ctx in [&big, &small] {
+                let g = graph_on(ctx, input);
+                if hub {
+                    assert!(g.max_degree() > small.config().mem_capacity() as u64);
+                }
+                let mut labels = initial_labels(ctx, g.vertices()).unwrap();
+                let lease = ctx.governor().lease("test", 0, 1).unwrap();
+                let built = merge_phase_ios(ctx);
+                for _ in 0..3 {
+                    let (next, _) = lp_round(ctx, &g, &labels, 0, &lease).unwrap();
+                    labels = next;
+                }
+                reduce_ios = merge_phase_ios(ctx) - built;
+                digests.push(labels_digest(&labels).unwrap());
             }
-            digests.push(labels_digest(&labels).unwrap());
+            assert_eq!(digests[0], digests[1], "hub: {hub}");
+            assert_eq!(reduce_ios > 0, hub, "reduce passes only for the hub");
         }
-        assert_eq!(digests[0], digests[1]);
+    }
+
+    /// I/O charged so far to the `sort/merge` phase (reduce passes).
+    fn merge_phase_ios(ctx: &EmContext) -> u64 {
+        ctx.stats()
+            .phase_totals()
+            .iter()
+            .find(|(name, _)| name == "sort/merge")
+            .map_or(0, |(_, c)| c.total_ios())
+    }
+
+    #[test]
+    fn windowed_rounds_stay_within_m() {
+        // A lenient context never refuses a charge, so only the sizing
+        // keeps a round inside M: with the label array twice M, every
+        // round runs windowed, and the window must be gone before the
+        // merged runs stream in.
+        let cfg = EmConfig::new(4096, 64).unwrap();
+        let ctx = EmContext::new_in_memory(cfg);
+        let pairs = workloads::graph::rmat_edges(13, 30_000, 11);
+        let raw = edges_from_pairs(&ctx, &pairs).unwrap();
+        let opts = BuildOptions {
+            vertices: Some(1 << 13),
+            ..BuildOptions::default()
+        };
+        let g = build_graph(&ctx, &raw, &opts).unwrap();
+        let m = cfg.mem_capacity();
+        assert!(ctx.mem().peak() <= m, "build peak {} > M", ctx.mem().peak());
+        ctx.mem().reset_peak();
+        let c = crate::cluster(
+            &g,
+            &ClusterOptions {
+                rounds: 3,
+                max_cluster_size: 0,
+            },
+        )
+        .unwrap();
+        assert!(c.rounds_run > 0);
+        assert!(
+            ctx.mem().peak() <= m,
+            "cluster peak {} > M",
+            ctx.mem().peak()
+        );
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! The pipeline:
 //!
 //! 1. **Build** ([`build_graph`]): a raw `(src, dst)` edge file is
-//!    canonicalized by *one* external sort — the [`Edge`] record's key
-//!    is the full pair, so grouping by source, neighbor ordering, and
-//!    duplicate adjacency all fall out of the same sort — followed by a
-//!    sequential dedup pass that emits the CSR offset index for free.
+//!    canonicalized by *one* sort — the [`Edge`] record's key is the
+//!    full pair, so grouping by source, neighbor ordering, and duplicate
+//!    adjacency all fall out of the same sort. Symmetrized edges go
+//!    straight into sorted runs, and the dedup pass that emits the CSR
+//!    offset index for free reads the runs' merge as a stream.
 //! 2. **Cluster** ([`cluster`]): synchronous label propagation with an
 //!    optional hard cluster-size cap. Every round streams the canonical
 //!    edge file sequentially; proposals depend only on each vertex's

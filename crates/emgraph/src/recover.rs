@@ -2,7 +2,7 @@
 //! shared [`WorkLedger`] so a crash redoes at most one round.
 //!
 //! The only algorithm state that must survive a crash is the current
-//! label file — everything inside a round (annotation files, mover and
+//! label file — everything inside a round (window runs, mover and
 //! admission files, the half-written next label file) is derived and
 //! unwinds with the crash. The [`ClusterManifest`] therefore records
 //! just `(round, labels file, moves history)` plus the option echo; the

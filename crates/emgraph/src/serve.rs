@@ -12,7 +12,7 @@
 
 use emcore::{EmFile, Result};
 use emserve::QueryService;
-use emsort::external_sort;
+use emsort::{form_runs_load_sort, SortedRuns};
 
 use crate::cluster::Clustering;
 
@@ -30,13 +30,13 @@ pub fn register_clustering<S: QueryService<u64>>(
 }
 
 /// The cluster-size distribution of a label file: ascending
-/// `(label, size)` pairs, computed externally (one sort + one
-/// run-length scan, nothing label-array-sized in RAM).
+/// `(label, size)` pairs, computed externally (sorted runs merged into a
+/// run-length count, nothing label-array-sized in RAM).
 pub fn cluster_sizes(labels: &EmFile<u64>) -> Result<Vec<(u64, u64)>> {
-    let sorted = external_sort(labels)?;
+    let mut runs = SortedRuns::new(labels.ctx(), form_runs_load_sort(labels)?);
+    let mut sorted = runs.stream(0)?;
     let mut out: Vec<(u64, u64)> = Vec::new();
-    let mut r = sorted.reader()?;
-    while let Some(label) = r.next()? {
+    while let Some(label) = sorted.next()? {
         match out.last_mut() {
             Some((l, size)) if *l == label => *size += 1,
             _ => out.push((label, 1)),

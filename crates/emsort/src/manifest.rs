@@ -228,11 +228,8 @@ fn form_remaining_runs<T: Record>(
         // resume (bounded rework: at most one unit).
         let mut w = ctx.writer::<T>()?;
         let want = ctx.mem_records::<T>().saturating_sub(2 * b).max(b);
-        let (mut load, cap) = crate::runs::adaptive_load_buffer::<T>(
-            ctx,
-            want,
-            "recoverable run formation load buffer",
-        )?;
+        let (mut load, cap) =
+            ctx.try_tracked_vec_halving::<T>(want, b, "recoverable run formation load buffer")?;
         let unit = manifest
             .ledger
             .begin_unit(ctx, |cp| format!("unit/run#{cp}"));

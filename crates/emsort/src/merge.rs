@@ -1,6 +1,13 @@
 //! Multiway merging of sorted runs.
+//!
+//! One pass loop ([`merge_runs_with_fan_in`]) merges consecutive groups of
+//! runs with a loser tree ([`MergeStream`]). Its last pass either writes
+//! the sorted output file ([`merge_runs`], what `external_sort` does) or
+//! is handed to the caller as a stream ([`SortedRuns::stream`]) that is
+//! pulled record by record — the sorted file is then never written, and
+//! never read back.
 
-use emcore::{EmConfig, EmContext, EmError, EmFile, Record, Result};
+use emcore::{EmConfig, EmContext, EmError, EmFile, Reader, Record, Result};
 
 use crate::loser_tree::LoserTree;
 
@@ -19,20 +26,109 @@ pub fn max_merge_fan_in_now<T: Record>(ctx: &EmContext) -> usize {
     max_fan_in_for_budget::<T>(ctx.config(), ctx.mem_budget())
 }
 
+/// The fan-in of the next merge group: `fan_in` clamped to `[2, what the
+/// live budget admits once `reserve` words are set aside for the
+/// caller's own buffers]`.
+fn group_fan_in<T: Record>(ctx: &EmContext, fan_in: usize, reserve: usize) -> usize {
+    let budget = ctx.mem_budget().saturating_sub(reserve);
+    fan_in.clamp(2, max_fan_in_for_budget::<T>(ctx.config(), budget))
+}
+
 fn max_fan_in_for_budget<T: Record>(config: EmConfig, budget: usize) -> usize {
     let block_words = config.block_size() * T::WORDS;
     let per_stream = block_words + T::WORDS + 2; // reader buffer + tree slot
     ((budget.saturating_sub(block_words)) / per_stream).max(2)
 }
 
+/// A `k`-way merge of sorted runs, pulled one record at a time. Holds one
+/// block buffer per run plus `O(k)` loser-tree state, all charged.
+pub struct MergeStream<'a, T: Record> {
+    /// `None` when there is nothing to merge.
+    tree: Option<LoserTree<T, Reader<'a, T>>>,
+}
+
+impl<'a, T: Record> MergeStream<'a, T> {
+    /// Open a reader on every run and build the loser tree over them.
+    pub(crate) fn open(ctx: &EmContext, runs: &'a [EmFile<T>]) -> Result<Self> {
+        if runs.is_empty() {
+            return Ok(Self { tree: None });
+        }
+        let readers: Vec<_> = runs.iter().map(|r| r.reader()).collect::<Result<_>>()?;
+        let tree = LoserTree::with_tracking(readers, ctx.mem())?;
+        Ok(Self { tree: Some(tree) })
+    }
+
+    /// The next record in key order, or `None` once every run is drained.
+    /// Equal keys come out in run order.
+    // Fallible streaming, deliberately not Iterator (whose `next` cannot
+    // surface `EmError`).
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<T>> {
+        match &mut self.tree {
+            Some(tree) => tree.pop(),
+            None => Ok(None),
+        }
+    }
+}
+
+/// Sorted runs waiting for their last merge pass: what
+/// [`crate::RunWriter::finish`] returns, or runs a caller formed itself.
+pub struct SortedRuns<T: Record> {
+    ctx: EmContext,
+    runs: Vec<EmFile<T>>,
+}
+
+impl<T: Record> SortedRuns<T> {
+    /// Wrap `runs`, each of which must already be sorted by key.
+    pub fn new(ctx: &EmContext, runs: Vec<EmFile<T>>) -> Self {
+        Self {
+            ctx: ctx.clone(),
+            runs,
+        }
+    }
+
+    /// Number of runs.
+    pub fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Whether there are no runs (no records).
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Give up the runs themselves.
+    pub fn into_runs(self) -> Vec<EmFile<T>> {
+        self.runs
+    }
+
+    /// The last merge pass as a stream. First, merge passes — the same
+    /// ones [`merge_runs`] runs — bring the run count down to a fan-in
+    /// that fits the live budget once `reserve` words are set aside for
+    /// the buffers the caller holds while it drains (its own readers and
+    /// writers). Those passes are charged to the `sort/merge` phase;
+    /// draining is charged to whatever phase the caller has open.
+    ///
+    /// Draining costs one read per run block. Compared with merging into
+    /// a file and scanning it, that saves the output's writes and its
+    /// re-read: `2·ceil(N/B)` I/Os whenever the runs fit one merge.
+    pub fn stream(&mut self, reserve: usize) -> Result<MergeStream<'_, T>> {
+        let fan_in = self.ctx.config().fan_in();
+        if self.runs.len() > group_fan_in::<T>(&self.ctx, fan_in, reserve) {
+            let _phase = self.ctx.stats().phase_guard("sort/merge");
+            merge_passes(&self.ctx, &mut self.runs, fan_in, reserve, true)?;
+        }
+        MergeStream::open(&self.ctx, &self.runs)
+    }
+}
+
 /// Merge up to `fan_in` sorted runs into one sorted file using a loser
 /// tree. Memory: one block buffer per input run + one output buffer +
 /// `O(k)` tree state — within `M` for `k ≤ M/B − 2`.
 pub fn merge_once<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result<EmFile<T>> {
-    let readers: Vec<_> = runs.iter().map(|r| r.reader()).collect::<Result<_>>()?;
-    let mut tree = LoserTree::with_tracking(readers, ctx.mem())?;
+    let mut merged = MergeStream::open(ctx, runs)?;
     let mut w = ctx.writer::<T>()?;
-    while let Some(x) = tree.pop()? {
+    while let Some(x) = merged.next()? {
         w.push(x)?;
     }
     w.finish()
@@ -61,14 +157,38 @@ pub fn merge_runs_with_fan_in<T: Record>(
     if runs.is_empty() {
         return ctx.create_file::<T>();
     }
-    while runs.len() > 1 {
+    merge_passes(ctx, runs, fan_in, 0, false)?;
+    runs.pop()
+        .ok_or_else(|| EmError::config("merge pass produced no output run"))
+}
+
+/// The merge-pass loop. Each pass merges consecutive groups of `fan_in`
+/// runs (re-clamped to what the live budget admits once `reserve` words
+/// are set aside). Passes repeat until one run is left — or, when
+/// `streamed` (the last pass will be pulled by the caller), until the
+/// runs fit one such group.
+fn merge_passes<T: Record>(
+    ctx: &EmContext,
+    runs: &mut Vec<EmFile<T>>,
+    fan_in: usize,
+    reserve: usize,
+    streamed: bool,
+) -> Result<()> {
+    let target = || {
+        if streamed {
+            group_fan_in::<T>(ctx, fan_in, reserve)
+        } else {
+            1
+        }
+    };
+    while runs.len() > target() {
         let mut next: Vec<EmFile<T>> = Vec::new();
         let mut iter = std::mem::take(runs).into_iter();
         loop {
             // The clamp is re-read per *group*, so a squeeze landing
             // mid-pass narrows the very next group, not just the next
             // pass.
-            let fan = fan_in.clamp(2, max_merge_fan_in_now::<T>(ctx));
+            let fan = group_fan_in::<T>(ctx, fan_in, reserve);
             let group: Vec<EmFile<T>> = iter.by_ref().take(fan).collect();
             match group.len() {
                 0 => break,
@@ -83,8 +203,7 @@ pub fn merge_runs_with_fan_in<T: Record>(
         }
         *runs = next;
     }
-    runs.pop()
-        .ok_or_else(|| EmError::config("merge pass produced no output run"))
+    Ok(())
 }
 
 /// Merge `group` into `out`, splitting the group in half and retrying when

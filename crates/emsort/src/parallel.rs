@@ -81,7 +81,6 @@ pub fn parallel_external_sort<T: Record>(input: &EmFile<T>) -> Result<EmFile<T>>
         return external_sort_with(input, RunFormation::LoadSort, None);
     }
     let stats = ctx.stats().clone();
-    let t0 = std::time::Instant::now();
     let formation = stats.phase_guard("sort/run-formation");
     // Worker threads parent their trace spans on the phase opened here:
     // the tracer resolves parents per thread, so without the explicit id
@@ -89,19 +88,11 @@ pub fn parallel_external_sort<T: Record>(input: &EmFile<T>) -> Result<EmFile<T>>
     let form_span = stats.current_span_id();
     let runs = parallel_form_runs(input, workers, form_span);
     drop(formation);
-    let t1 = std::time::Instant::now();
     let runs = runs?;
     let merge = stats.phase_guard("sort/merge");
     let merge_span = stats.current_span_id();
     let out = parallel_merge(&ctx, runs, ctx.config().fan_in(), workers, merge_span);
     drop(merge);
-    if std::env::var_os("EMSORT_PAR_DEBUG").is_some() {
-        eprintln!(
-            "[par-debug] W={workers} form={:?} merge={:?}",
-            t1 - t0,
-            t1.elapsed()
-        );
-    }
     out
 }
 
@@ -373,8 +364,6 @@ fn parallel_merge<T: Record>(
         // latency to hide; against a page-cache-speed backend the channel
         // handoffs are pure overhead.
         let overlap = ctx.config().device_latency_us() > 0;
-        let tp = std::time::Instant::now();
-        let ng = groups.len();
         runs = if groups.len() == 1 {
             let only = groups.pop().expect("non-empty by construction");
             if only.len() == 1 {
@@ -385,9 +374,6 @@ fn parallel_merge<T: Record>(
         } else {
             merge_groups_parallel(ctx, groups, workers, overlap, parent)?
         };
-        if std::env::var_os("EMSORT_PAR_DEBUG").is_some() {
-            eprintln!("[par-debug]   pass groups={ng} took {:?}", tp.elapsed());
-        }
     }
     runs.pop()
         .ok_or_else(|| EmError::config("merge pass produced no output run"))

@@ -2,8 +2,10 @@
 //!
 //! Two strategies:
 //!
-//! * [`form_runs_load_sort`] — the textbook approach: fill memory, sort,
-//!   write out; runs of length `≈ M`.
+//! * [`RunWriter`] — the textbook approach as a push sink: fill memory,
+//!   sort, write out; runs of length `≈ M`. [`form_runs_load_sort`] feeds
+//!   it from a file; callers that produce records on the fly push them
+//!   directly and never write the unsorted input at all.
 //! * [`form_runs_replacement_selection`] — a tournament-style heap that
 //!   produces runs of expected length `≈ 2M` on random inputs (and a single
 //!   run on already-sorted input), reducing the number of merge passes.
@@ -13,7 +15,9 @@
 
 use std::collections::BinaryHeap;
 
-use emcore::{EmContext, EmError, EmFile, Record, Result, TrackedVec};
+use emcore::{EmContext, EmError, EmFile, Record, Result, TrackedVec, Writer};
+
+use crate::merge::SortedRuns;
 
 /// How initial runs are formed by [`crate::external_sort_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,65 +36,101 @@ pub(crate) fn working_capacity<T: Record>(ctx: &EmContext) -> usize {
     ctx.mem_records::<T>().saturating_sub(2 * b).max(b)
 }
 
-/// Reserve a load buffer of up to `want` records, halving the request on a
-/// budget rejection down to `floor` (one block). Under a governor squeeze
-/// or tenant contention, run formation degrades to shorter runs instead of
-/// failing; only a budget too small for even one block surfaces the typed
-/// [`EmError::MemoryExceeded`].
-pub(crate) fn adaptive_load_buffer<T: Record>(
-    ctx: &EmContext,
-    want: usize,
-    context: &str,
-) -> Result<(TrackedVec<T>, usize)> {
-    let floor = ctx.config().block_size().max(1);
-    let mut cap = want.max(floor);
-    loop {
-        match ctx.try_tracked_vec::<T>(cap, context) {
-            Ok(v) => return Ok((v, cap)),
-            Err(e @ EmError::MemoryExceeded { .. }) => {
-                if cap <= floor {
-                    return Err(e);
-                }
-                cap = (cap / 2).max(floor);
-            }
-            Err(e) => return Err(e),
+/// The push side of an external sort: records go in one at a time and
+/// come out as sorted runs of `≈ M` records.
+///
+/// Each fill of the load buffer is one run. The buffer and the run's
+/// writer are allocated when a run receives its first record — the
+/// writer's block buffer first, then the load buffer sized against the
+/// live (possibly squeezed or restored) budget and halved on rejection.
+/// A squeeze landing mid-run therefore cannot fail the run: it takes
+/// effect at the next run boundary as a shorter run. Sorting happens on
+/// the calling thread.
+///
+/// Costs one write per block of runs; [`RunWriter::finish`] hands the
+/// runs to their merge ([`SortedRuns`]).
+pub struct RunWriter<T: Record> {
+    ctx: EmContext,
+    fill: Option<Fill<T>>,
+    runs: Vec<EmFile<T>>,
+}
+
+/// The run being filled: its writer and its load buffer.
+struct Fill<T: Record> {
+    writer: Writer<T>,
+    load: TrackedVec<T>,
+    cap: usize,
+}
+
+impl<T: Record> RunWriter<T> {
+    /// An empty run writer on `ctx`. Allocates nothing until the first
+    /// push.
+    pub fn new(ctx: &EmContext) -> Self {
+        Self {
+            ctx: ctx.clone(),
+            fill: None,
+            runs: Vec::new(),
         }
+    }
+
+    /// Add one record; spills a sorted run whenever the load buffer fills.
+    pub fn push(&mut self, rec: T) -> Result<()> {
+        let fill = match &mut self.fill {
+            Some(fill) => fill,
+            None => {
+                let writer = self.ctx.writer::<T>()?;
+                let (load, cap) = self.ctx.try_tracked_vec_halving::<T>(
+                    working_capacity::<T>(&self.ctx),
+                    self.ctx.config().block_size(),
+                    "run formation load buffer",
+                )?;
+                self.fill.insert(Fill { writer, load, cap })
+            }
+        };
+        fill.load.push(rec);
+        if fill.load.len() == fill.cap {
+            self.spill()?;
+        }
+        Ok(())
+    }
+
+    /// Sort the load buffer and write it out as one run.
+    fn spill(&mut self) -> Result<()> {
+        let Some(Fill {
+            mut writer,
+            mut load,
+            ..
+        }) = self.fill.take()
+        else {
+            return Ok(());
+        };
+        let _unit = self
+            .ctx
+            .stats()
+            .trace_span(|| format!("unit/run#{}", self.runs.len()));
+        load.sort_unstable_by_key(|r| r.key());
+        writer.push_all(&load)?;
+        self.runs.push(writer.finish()?);
+        Ok(())
+    }
+
+    /// Spill the last, partial run and return every run for merging.
+    pub fn finish(mut self) -> Result<SortedRuns<T>> {
+        self.spill()?;
+        Ok(SortedRuns::new(&self.ctx, self.runs))
     }
 }
 
 /// Form sorted runs by loading `≈ M` records at a time and sorting in
-/// memory. Costs one read and one write per input block: `2·ceil(N/B)` I/Os.
+/// memory: a [`RunWriter`] fed from `input`. Costs one read and one write
+/// per input block: `2·ceil(N/B)` I/Os.
 pub fn form_runs_load_sort<T: Record>(input: &EmFile<T>) -> Result<Vec<EmFile<T>>> {
-    let ctx = input.ctx().clone();
-    let mut runs = Vec::new();
+    let mut runs = RunWriter::new(input.ctx());
     let mut reader = input.reader()?;
-    loop {
-        // Every allocation this batch needs happens here, at the batch
-        // boundary: the writer's block buffer first, then the load buffer
-        // sized against the live (possibly squeezed or restored) budget,
-        // halving on rejection. A squeeze landing mid-batch therefore
-        // cannot fail the batch — it takes effect at the next boundary as
-        // a shorter run. (An unused writer drops cleanly on EOF.)
-        let mut w = ctx.writer::<T>()?;
-        let want = working_capacity::<T>(&ctx);
-        let (mut load, cap) = adaptive_load_buffer::<T>(&ctx, want, "run formation load buffer")?;
-        while load.len() < cap {
-            match reader.next()? {
-                Some(x) => load.push(x),
-                None => break,
-            }
-        }
-        if load.is_empty() {
-            break;
-        }
-        load.sort_unstable_by_key(|r| r.key());
-        w.push_all(&load)?;
-        runs.push(w.finish()?);
-        if load.len() < cap {
-            break; // input exhausted
-        }
+    while let Some(x) = reader.next()? {
+        runs.push(x)?;
     }
-    Ok(runs)
+    Ok(runs.finish()?.into_runs())
 }
 
 struct HeapItem<T: Record> {
