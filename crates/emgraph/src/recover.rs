@@ -175,7 +175,9 @@ fn drive_rounds(
             .ledger
             .begin_unit(ctx, |_| format!("graph/round#{round}"));
         let old = manifest.labels.as_ref().ok_or_else(missing_labels)?;
-        let (next, moved) = lp_round(ctx, graph, old, manifest.cap, &lease)?;
+        // Round 1 starts from the identity labeling, also after a resume.
+        let from_identity = manifest.round == 0;
+        let (next, moved) = lp_round(ctx, graph, old, manifest.cap, from_identity, &lease)?;
         manifest.round = round;
         manifest.moves.push(moved);
         // ---- checkpoint: the new labels are durable; only then is the
@@ -220,7 +222,7 @@ mod tests {
     use crate::build::{build_graph, BuildOptions};
     use crate::cluster::labels_digest;
     use crate::edge::edges_from_pairs;
-    use emcore::{EmConfig, EmContext, FaultPlan};
+    use emcore::{EmConfig, EmContext, FaultPlan, RingSink, TraceReport};
 
     fn graph_on(ctx: &EmContext, seed: u64, n: u64, m: usize) -> Graph {
         let mut rng = emcore::SplitMix64::new(seed);
@@ -284,6 +286,57 @@ mod tests {
             stats.redone_ios,
             manifest.ledger().max_unit_ios()
         );
+    }
+
+    #[test]
+    fn round_one_reads_no_labels_also_after_a_resume() {
+        // Round 1 starts from the identity labeling, also when a crash
+        // lands inside it and the resume redoes it: every attempt at
+        // round 1 runs the edge-only pass, and no other round does.
+        let ctx = EmContext::new_in_memory(EmConfig::tiny());
+        let ring = RingSink::new(0);
+        ctx.set_trace_sink(Box::new(ring.clone()));
+        let g = graph_on(&ctx, 5, 200, 2000);
+        let opts = ClusterOptions {
+            rounds: 4,
+            max_cluster_size: 0,
+        };
+        let want = labels_digest(&cluster(&g, &opts).unwrap().labels).unwrap();
+
+        // The first crash point past the identity labeling's checkpoint.
+        let mut manifest = (1..)
+            .find_map(|at| {
+                let plan = FaultPlan::new(0).fatal_at(at);
+                ctx.install_fault_plan(plan.clone());
+                let mut m = ClusterManifest::new(&ctx, &opts);
+                let r = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut m));
+                plan.clear_crash();
+                ctx.clear_fault_plan();
+                assert!(matches!(r, Err(EmError::Crashed)));
+                m.labels.is_some().then_some(m)
+            })
+            .unwrap();
+        assert_eq!(manifest.round(), 0, "the crash landed in round 1");
+        let got = run_recoverable(&ctx, &mut ClusterJob::new(&g, &mut manifest)).unwrap();
+        assert_eq!(labels_digest(&got.labels).unwrap(), want);
+        assert!(got.rounds_run > 1);
+
+        let report = TraceReport::from_events(&ring.events());
+        let name_of = |id: u64| {
+            report
+                .spans
+                .iter()
+                .find(|s| s.id == id)
+                .map_or("", |s| s.name.as_str())
+        };
+        let passes: Vec<&str> = report
+            .spans
+            .iter()
+            .filter(|s| s.name == "graph/identity-pass")
+            .map(|s| name_of(s.parent))
+            .collect();
+        // The reference run, the crashed attempt, and the resume.
+        assert_eq!(passes, vec!["graph/round#1"; 3]);
     }
 
     #[test]

@@ -18,21 +18,24 @@
 //! emsplit verify <file> --k K [--min a] [--max b] -- s1 s2 ...
 //! emsplit graph-gen <file> --kind rmat|grid [--scale S --edges E --seed S | --rows R --cols C]
 //! emsplit graph-build <file> <out-file> [--directed] [--keep-loops] [--vertices N]
-//! emsplit graph-cluster <file> [--rounds R] [--max-size C] [--labels FILE] [--stats]
-//! emsplit graph-stats <file> [--buckets K]
+//! emsplit graph-cluster <canonical-file> [--rounds R] [--max-size C] [--labels FILE] [--stats]
+//! emsplit graph-stats <canonical-file> [--buckets K]
 //! ```
 //!
 //! The `graph-*` family operates on edge lists stored as flat `u64`
 //! pair files (16 bytes per edge: `src` then `dst`, little-endian).
-//! `graph-build` canonicalizes a raw edge list (symmetrize, drop
-//! self-loops, sort, dedup) and writes the canonical pair file;
-//! `graph-cluster` runs crash-recoverable size-capped label propagation
-//! and prints `clusters=<c> digest=<hex>` — the digest is bit-identical
-//! across `--mem`, `--workers`, and backend choices; `graph-stats`
-//! prints the degree profile and (with `--buckets K`) the near-even
-//! degree buckets realized by approximate K-partitioning. All three
-//! take `--trace FILE` / `--trace-summary`; clustering rounds appear as
-//! `graph/round#N` spans.
+//! `graph-build` canonicalizes a raw edge list (symmetrize unless
+//! `--directed`, drop self-loops unless `--keep-loops`, sort, dedup) and
+//! writes the canonical pair file. `graph-cluster` and `graph-stats`
+//! take that canonical file as input and load it as is (sort and dedup
+//! only, no symmetrizing or loop removal), so the build's options carry
+//! through. `graph-cluster` runs crash-recoverable size-capped label
+//! propagation and prints `clusters=<c> digest=<hex>` — the digest is
+//! bit-identical across `--mem`, `--workers`, and backend choices;
+//! `graph-stats` prints the degree profile and (with `--buckets K`) the
+//! near-even degree buckets realized by approximate K-partitioning. All
+//! three take `--trace FILE` / `--trace-summary`; clustering rounds
+//! appear as `graph/round#N` spans.
 //!
 //! `serve` opens (or creates) a persistent dataset store in `<store-dir>`
 //! and answers line-oriented rank/quantile queries from stdin — see
@@ -183,6 +186,20 @@ fn read_pairs(path: &Path) -> Vec<(u64, u64)> {
         ));
     }
     keys.chunks_exact(2).map(|c| (c[0], c[1])).collect()
+}
+
+/// Load `graph-build`'s output as the canonical graph it already is:
+/// sort and dedup only, so a `--directed` or `--keep-loops` build is not
+/// symmetrized or stripped of its loops a second time.
+fn load_canonical(ctx: &EmContext, path: &Path) -> Graph {
+    let raw = edges_from_pairs(ctx, &read_pairs(path))
+        .unwrap_or_else(|e| die(&format!("load failed: {e}")));
+    let opts = BuildOptions {
+        symmetrize: false,
+        drop_self_loops: false,
+        vertices: None,
+    };
+    build_graph(ctx, &raw, &opts).unwrap_or_else(|e| die(&format!("graph load failed: {e}")))
 }
 
 fn write_pairs(path: &Path, pairs: &[(u64, u64)]) {
@@ -839,10 +856,7 @@ fn main() -> ExitCode {
             );
             let ctx = machine(&args);
             let trace = setup_trace(&ctx, &args);
-            let raw = edges_from_pairs(&ctx, &read_pairs(&path))
-                .unwrap_or_else(|e| die(&format!("load failed: {e}")));
-            let g = build_graph(&ctx, &raw, &BuildOptions::default())
-                .unwrap_or_else(|e| die(&format!("graph build failed: {e}")));
+            let g = load_canonical(&ctx, &path);
             let opts = ClusterOptions {
                 rounds: args.flag_u64("rounds", 8) as u32,
                 max_cluster_size: args.flag_u64("max-size", 0),
@@ -881,10 +895,7 @@ fn main() -> ExitCode {
             );
             let ctx = machine(&args);
             let trace = setup_trace(&ctx, &args);
-            let raw = edges_from_pairs(&ctx, &read_pairs(&path))
-                .unwrap_or_else(|e| die(&format!("load failed: {e}")));
-            let g = build_graph(&ctx, &raw, &BuildOptions::default())
-                .unwrap_or_else(|e| die(&format!("graph build failed: {e}")));
+            let g = load_canonical(&ctx, &path);
             println!(
                 "vertices={} edges={} max-degree={}",
                 g.vertices(),
@@ -931,9 +942,10 @@ fn main() -> ExitCode {
                  \x20 emsplit verify <file> --k K [--min a] [--max b] -- s1 s2 ...\n\
                  \x20 emsplit graph-gen <file> [--kind rmat|grid] [--scale S --edges E --seed S | --rows R --cols C]\n\
                  \x20 emsplit graph-build <file> <out-file> [--directed] [--keep-loops] [--vertices N] [--stats]\n\
-                 \x20 emsplit graph-cluster <file> [--rounds R] [--max-size C] [--labels FILE] [--stats]\n\
-                 \x20 emsplit graph-stats <file> [--buckets K]\n\
-                 \x20   (graph files are flat u64 pair arrays: 16 bytes per src,dst edge)\n\
+                 \x20 emsplit graph-cluster <canonical-file> [--rounds R] [--max-size C] [--labels FILE] [--stats]\n\
+                 \x20 emsplit graph-stats <canonical-file> [--buckets K]\n\
+                 \x20   (graph files are flat u64 pair arrays: 16 bytes per src,dst edge;\n\
+                 \x20    graph-cluster and graph-stats read graph-build's output as is)\n\
                  \n\
                  common flags: --mem M --block B   (machine geometry, records)\n\
                  \x20             --workers W        (parallel sort threads; same logical I/Os)\n\

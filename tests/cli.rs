@@ -191,9 +191,9 @@ fn help_and_bad_usage() {
 }
 
 /// The `graph-*` family end to end: generate an R-MAT edge list,
-/// canonicalize it, cluster it, and read the degree profile — and pin
-/// the determinism contract: the cluster digest is identical across
-/// `--workers` and `--mem` settings.
+/// canonicalize it, cluster the canonical file, and read its degree
+/// profile — and pin the determinism contract: the cluster digest is
+/// identical across `--workers` and `--mem` settings.
 #[test]
 fn graph_family_roundtrip_and_digest_invariance() {
     let edges = tmp("g.bin");
@@ -227,8 +227,9 @@ fn graph_family_roundtrip_and_digest_invariance() {
     assert!(pairs.windows(2).all(|w| w[0] < w[1]), "canonical order");
     assert!(pairs.iter().all(|&(s, d)| s != d), "no self-loops");
 
+    let canon_s = canon.to_str().unwrap();
     let cluster = |extra: &[&str]| -> String {
-        let mut args = vec!["graph-cluster", edges_s, "--rounds", "4"];
+        let mut args = vec!["graph-cluster", canon_s, "--rounds", "4"];
         args.extend_from_slice(extra);
         let (out, err, ok) = run(&args);
         assert!(ok, "{err}");
@@ -246,20 +247,42 @@ fn graph_family_roundtrip_and_digest_invariance() {
         "memory-budget invariance"
     );
 
-    let (out, err, ok) = run(&["graph-stats", edges_s, "--buckets", "4"]);
+    let (out, err, ok) = run(&["graph-stats", canon_s, "--buckets", "4"]);
     assert!(ok, "{err}");
     assert!(out.starts_with("vertices="), "{out}");
     assert_eq!(out.lines().filter(|l| l.starts_with("bucket=")).count(), 4);
+
+    // A directed build with its loops kept is loaded as built: not
+    // symmetrized or stripped of loops a second time.
+    let directed = tmp("g-directed.bin");
+    let directed_s = directed.to_str().unwrap();
+    let (_, err, ok) = run(&[
+        "graph-build",
+        edges_s,
+        directed_s,
+        "--directed",
+        "--keep-loops",
+    ]);
+    assert!(ok, "{err}");
+    let built = std::fs::metadata(&directed).unwrap().len() / 16;
+    assert!(built < pairs.len() as u64, "one direction of each edge");
+    let (out, err, ok) = run(&["graph-stats", directed_s]);
+    assert!(ok, "{err}");
+    assert!(out.contains(&format!(" edges={built} ")), "{out}");
 }
 
 /// `graph-cluster --trace` emits per-round `graph/round#N` spans, and
 /// `--labels` writes a labels file whose length is the vertex count.
+/// Inside a round the trace shows round 1's edge pass and, when the
+/// labels do not fit in memory, each window pass and the merge drain.
 #[test]
 fn graph_cluster_trace_and_labels_output() {
     let edges = tmp("h.bin");
+    let canon = tmp("h-canon.bin");
     let trace = tmp("h-trace.jsonl");
     let labels = tmp("h-labels.bin");
     let edges_s = edges.to_str().unwrap();
+    let canon_s = canon.to_str().unwrap();
     run(&[
         "graph-gen",
         edges_s,
@@ -270,20 +293,40 @@ fn graph_cluster_trace_and_labels_output() {
         "--cols",
         "12",
     ]);
-    let (out, err, ok) = run(&[
-        "graph-cluster",
-        edges_s,
-        "--rounds",
-        "3",
-        "--labels",
-        labels.to_str().unwrap(),
-        "--trace",
-        trace.to_str().unwrap(),
-    ]);
+    let (_, err, ok) = run(&["graph-build", edges_s, canon_s]);
     assert!(ok, "{err}");
-    assert!(out.contains("digest="), "{out}");
-    assert_eq!(std::fs::metadata(&labels).unwrap().len(), 144 * 8);
-    let doc = std::fs::read_to_string(&trace).unwrap();
+    let traced = |extra: &[&str]| -> (String, String) {
+        let mut args = vec![
+            "graph-cluster",
+            canon_s,
+            "--rounds",
+            "3",
+            "--labels",
+            labels.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = run(&args);
+        assert!(ok, "{err}");
+        assert!(out.contains("digest="), "{out}");
+        assert_eq!(std::fs::metadata(&labels).unwrap().len(), 144 * 8);
+        (out, std::fs::read_to_string(&trace).unwrap())
+    };
+    // Default geometry: the labels fit, so later rounds run resident.
+    let (out, doc) = traced(&[]);
     assert!(doc.contains("graph/round#1"), "round spans in trace");
     assert!(doc.contains("graph/round#3"), "all rounds traced");
+    assert!(doc.contains("graph/identity-pass"), "round 1's pass traced");
+    assert!(
+        !doc.contains("graph/window#"),
+        "resident rounds have no windows"
+    );
+    // 144 labels in M = 128: rounds 2 and 3 run windowed.
+    let (windowed_out, doc) = traced(&["--mem", "128", "--block", "8"]);
+    assert_eq!(windowed_out, out, "geometry invariance");
+    assert!(doc.contains("graph/identity-pass"), "round 1's pass traced");
+    assert!(doc.contains("graph/window#0"), "window passes traced");
+    assert!(doc.contains("graph/window#1"), "every window traced");
+    assert!(doc.contains("graph/drain"), "the merge drain traced");
 }
