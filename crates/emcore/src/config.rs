@@ -4,14 +4,16 @@
 //! memory of `M` items and a disk formatted into blocks of `B` items, with
 //! `M >= 2B`. One I/O transfers one block between disk and memory.
 //!
-//! Throughout this workspace `M` and `B` are expressed in *records* of the
-//! file being accessed, see the crate-level documentation for why this is a
-//! faithful rendering of the paper's word-based accounting.
+//! Throughout this workspace `M` and `B` count *words*, as in the paper. A
+//! record of type `T` is `T::WORDS` words wide, so a block holds
+//! [`EmConfig::block_records_for_width`] records and memory
+//! `M / T::WORDS` of them (`EmContext::mem_records`). Words and records
+//! coincide only for one-word types such as `u64`.
 
 use crate::error::{EmError, Result};
 
 /// Parameters of the external-memory model: memory capacity `M` and block
-/// size `B`, both counted in records.
+/// size `B`, both counted in words (records only for one-word types).
 ///
 /// Invariants enforced at construction:
 /// * `B >= 1`
@@ -142,13 +144,13 @@ impl EmConfig {
         Self::new(4096, 64).expect("static config is valid")
     }
 
-    /// Memory capacity `M` in records.
+    /// Memory capacity `M` in words.
     #[inline]
     pub fn mem_capacity(&self) -> usize {
         self.mem_capacity
     }
 
-    /// Block size `B` in records.
+    /// Block size `B` in words.
     #[inline]
     pub fn block_size(&self) -> usize {
         self.block_size
@@ -168,7 +170,9 @@ impl EmConfig {
         (self.blocks_in_mem().saturating_sub(2)).max(2)
     }
 
-    /// Number of blocks needed to store `n` one-word records.
+    /// Number of `B`-word blocks needed to store `n` one-word records (a
+    /// `T::WORDS`-wide record packs [`EmConfig::block_records_for_width`]
+    /// to a block).
     #[inline]
     pub fn blocks_for(&self, n: u64) -> u64 {
         n.div_ceil(self.block_size as u64)

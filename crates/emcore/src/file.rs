@@ -631,9 +631,7 @@ impl<T: Record> EmFile<T> {
     /// Build a file from a slice, charging the write scan.
     pub fn from_slice(ctx: &EmContext, data: &[T]) -> Result<Self> {
         let mut w = ctx.writer::<T>()?;
-        for &x in data {
-            w.push(x)?;
-        }
+        w.push_all(data)?;
         w.finish()
     }
 }
@@ -688,26 +686,28 @@ impl<'a, T: Record> Reader<'a, T> {
         Ok(r)
     }
 
-    fn fill(&mut self) -> Result<bool> {
-        if self.pos < self.buf.len() {
-            return Ok(true);
+    /// The unread records of the current block. When the block is used
+    /// up, fetches the next one first (one read I/O through
+    /// [`EmFile::read_block_into`]); an empty slice means end of file.
+    /// Pair it with [`Reader::consume`], as with `std::io::BufRead`.
+    pub fn fill_buf(&mut self) -> Result<&[T]> {
+        // A positioned reader's skip can exhaust a partial first block;
+        // the loop then moves on to the next one.
+        while self.pos >= self.buf.len() {
+            if self.next_block >= self.file.num_blocks() {
+                return Ok(&[]);
+            }
+            self.file.read_block_into(self.next_block, &mut self.buf)?;
+            self.next_block += 1;
+            self.pos = std::mem::take(&mut self.skip).min(self.buf.len());
         }
-        if self.next_block >= self.file.num_blocks() {
-            return Ok(false);
-        }
-        self.file.read_block_into(self.next_block, &mut self.buf)?;
-        self.next_block += 1;
-        self.pos = std::mem::take(&mut self.skip).min(self.buf.len());
-        self.fill_tail_guard()
+        Ok(&self.buf[self.pos..])
     }
 
-    // A skip can exhaust the (partial) first block; continue to the next.
-    fn fill_tail_guard(&mut self) -> Result<bool> {
-        if self.pos < self.buf.len() {
-            Ok(true)
-        } else {
-            self.fill()
-        }
+    /// Mark `n` records of the slice last returned by
+    /// [`Reader::fill_buf`] as read (clamped to what it held).
+    pub fn consume(&mut self, n: usize) {
+        self.pos = (self.pos + n).min(self.buf.len());
     }
 
     /// Next record, or `None` at end of file.
@@ -715,20 +715,14 @@ impl<'a, T: Record> Reader<'a, T> {
     // surface `EmError`).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<T>> {
-        if !self.fill()? {
-            return Ok(None);
-        }
-        let r = self.buf[self.pos];
-        self.pos += 1;
-        Ok(Some(r))
+        let rec = self.peek()?;
+        self.pos += usize::from(rec.is_some());
+        Ok(rec)
     }
 
     /// Peek at the next record without consuming it.
     pub fn peek(&mut self) -> Result<Option<T>> {
-        if !self.fill()? {
-            return Ok(None);
-        }
-        Ok(Some(self.buf[self.pos]))
+        Ok(self.fill_buf()?.first().copied())
     }
 
     /// Records remaining (including any buffered).
@@ -767,10 +761,25 @@ impl<T: Record> Writer<T> {
         Ok(())
     }
 
-    /// Append every record of a slice.
-    pub fn push_all(&mut self, recs: &[T]) -> Result<()> {
-        for &r in recs {
-            self.push(r)?;
+    /// Append every record of a slice, a block at a time: the same blocks
+    /// and write I/Os as pushing them one by one.
+    pub fn push_all(&mut self, mut recs: &[T]) -> Result<()> {
+        let b = self.file.block_capacity();
+        while !recs.is_empty() {
+            if self.buf.is_empty() && recs.len() >= b {
+                // A whole block: append it straight from the slice.
+                let (block, rest) = recs.split_at(b);
+                self.file.append_block(block)?;
+                recs = rest;
+                continue;
+            }
+            let (head, rest) = recs.split_at((b - self.buf.len()).min(recs.len()));
+            self.buf.try_extend_from_slice(head)?;
+            recs = rest;
+            if self.buf.len() == b {
+                self.file.append_block(&self.buf)?;
+                self.buf.clear();
+            }
         }
         Ok(())
     }
@@ -801,6 +810,7 @@ mod tests {
     use crate::config::EmConfig;
     use crate::fault::{FaultPlan, RetryPolicy};
     use crate::record::KeyValue;
+    use crate::stats::Counters;
 
     fn mem_ctx() -> EmContext {
         EmContext::new_in_memory(EmConfig::tiny()) // B = 16
@@ -1198,6 +1208,224 @@ mod tests {
         assert_eq!(got, data);
         assert_eq!(ctx.stats().snapshot(), before);
         assert_eq!(ctx.cache().len(), 0, "oracle reads must not warm the pool");
+    }
+
+    /// Drain `f` with `fill_buf`/`consume`, taking at most `step` records
+    /// of each slice.
+    fn drain_by_slices(f: &EmFile<u64>, step: usize) -> Vec<u64> {
+        let mut r = f.reader().unwrap();
+        let mut got = Vec::new();
+        loop {
+            let s = r.fill_buf().unwrap();
+            if s.is_empty() {
+                return got;
+            }
+            let n = s.len().min(step);
+            got.extend_from_slice(&s[..n]);
+            r.consume(n);
+        }
+    }
+
+    #[test]
+    fn fill_buf_walks_blocks_and_partial_tail() {
+        let ctx = mem_ctx();
+        let data: Vec<u64> = (0..100).collect(); // 6 full blocks of 16 + 4
+        let f = EmFile::from_slice(&ctx, &data).unwrap();
+        let before = ctx.stats().snapshot();
+        let mut r = f.reader().unwrap();
+        let mut lens = Vec::new();
+        loop {
+            let n = r.fill_buf().unwrap().len();
+            if n == 0 {
+                break;
+            }
+            lens.push(n);
+            r.consume(n);
+        }
+        assert_eq!(lens, vec![16, 16, 16, 16, 16, 16, 4]);
+        // Past the end stays empty and costs nothing more.
+        assert!(r.fill_buf().unwrap().is_empty());
+        assert_eq!(ctx.stats().snapshot().since(&before).reads, 7);
+        for step in [1, 3, 16, 17, 100] {
+            assert_eq!(drain_by_slices(&f, step), data, "step {step}");
+        }
+    }
+
+    #[test]
+    fn fill_buf_without_consume_reads_nothing_more() {
+        let ctx = mem_ctx();
+        let f = EmFile::from_slice(&ctx, &(0..40u64).collect::<Vec<_>>()).unwrap();
+        let before = ctx.stats().snapshot();
+        let mut r = f.reader().unwrap();
+        assert_eq!(r.fill_buf().unwrap(), &(0..16u64).collect::<Vec<_>>()[..]);
+        r.consume(5);
+        assert_eq!(r.fill_buf().unwrap(), &(5..16u64).collect::<Vec<_>>()[..]);
+        assert_eq!(r.peek().unwrap(), Some(5));
+        assert_eq!(r.next().unwrap(), Some(5));
+        // Consuming more than the slice held stops at the block's end.
+        r.consume(100);
+        assert_eq!(r.next().unwrap(), Some(16));
+        assert_eq!(ctx.stats().snapshot().since(&before).reads, 2);
+    }
+
+    #[test]
+    fn fill_buf_from_mid_block_and_on_empty_files() {
+        let ctx = mem_ctx();
+        let f = EmFile::from_slice(&ctx, &(0..50u64).collect::<Vec<_>>()).unwrap();
+        let before = ctx.stats().snapshot();
+        let mut r = f.reader_at(37).unwrap();
+        assert_eq!(r.fill_buf().unwrap(), &(37..48u64).collect::<Vec<_>>()[..]);
+        r.consume(11);
+        assert_eq!(r.fill_buf().unwrap(), &[48u64, 49][..]);
+        r.consume(2);
+        assert!(r.fill_buf().unwrap().is_empty());
+        assert_eq!(ctx.stats().snapshot().since(&before).reads, 2);
+        // Positioned on the partial last block's end, or past the file.
+        for start in [50u64, 60] {
+            assert!(f.reader_at(start).unwrap().fill_buf().unwrap().is_empty());
+        }
+        let empty = ctx.create_file::<u64>().unwrap();
+        let before = ctx.stats().snapshot();
+        assert!(empty.reader().unwrap().fill_buf().unwrap().is_empty());
+        assert_eq!(ctx.stats().snapshot(), before);
+    }
+
+    #[test]
+    fn fill_buf_holds_one_charged_block_in_strict_mode() {
+        let ctx = EmContext::new_in_memory_strict(EmConfig::tiny());
+        let f = EmFile::from_slice(&ctx, &(0..64u64).collect::<Vec<_>>()).unwrap();
+        ctx.mem().reset_peak();
+        {
+            let mut r = f.reader().unwrap();
+            loop {
+                let n = r.fill_buf().unwrap().len();
+                if n == 0 {
+                    break;
+                }
+                assert_eq!(ctx.mem().current(), 16); // B records of 1 word
+                r.consume(n);
+            }
+        }
+        assert_eq!(ctx.mem().current(), 0);
+        assert_eq!(ctx.mem().peak(), 16);
+    }
+
+    /// Every record and every error a reader returns under `plan`, reading
+    /// on after each error, with the counters the scan moved. `by_slice`
+    /// drains with `fill_buf`/`consume` (three records per step) instead
+    /// of `next()`.
+    fn faulted_scan(
+        plan: FaultPlan,
+        retries: u32,
+        by_slice: bool,
+    ) -> (Vec<u64>, Vec<String>, Counters) {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let data: Vec<u64> = (0..200).rev().collect();
+        let f = EmFile::from_slice(&ctx, &data).unwrap();
+        ctx.install_fault_plan(plan);
+        if retries > 0 {
+            ctx.set_retry_policy(RetryPolicy::retries(retries));
+        }
+        let before = ctx.stats().snapshot();
+        let mut r = f.reader().unwrap();
+        let (mut got, mut errs) = (Vec::new(), Vec::new());
+        for _ in 0..10_000 {
+            let step = if by_slice {
+                r.fill_buf().map(|s| {
+                    let n = s.len().min(3);
+                    got.extend_from_slice(&s[..n]);
+                    n
+                })
+            } else {
+                r.next().map(|x| {
+                    got.extend(x);
+                    usize::from(x.is_some())
+                })
+            };
+            match step {
+                Ok(0) => break,
+                Ok(n) if by_slice => r.consume(n),
+                Ok(_) => {}
+                Err(e) => errs.push(format!("{e:?}")),
+            }
+        }
+        assert_eq!(got, data, "every record arrives once, in order");
+        (got, errs, ctx.stats().snapshot().since(&before))
+    }
+
+    #[test]
+    fn fill_buf_matches_next_under_faults() {
+        let plans: [(fn() -> FaultPlan, u32); 2] = [
+            // Retried transient reads plus an in-flight corruption.
+            (
+                || {
+                    FaultPlan::new(11)
+                        .fail_nth(4, crate::FaultKind::CorruptRead)
+                        .transient_rate(0.3)
+                },
+                1,
+            ),
+            // No retries: transient and corrupt reads surface as errors.
+            (
+                || {
+                    FaultPlan::new(3)
+                        .fail_nth(2, crate::FaultKind::TransientRead)
+                        .fail_nth(5, crate::FaultKind::CorruptRead)
+                        .fail_nth(9, crate::FaultKind::CorruptRead)
+                },
+                0,
+            ),
+        ];
+        for (i, (plan, retries)) in plans.iter().enumerate() {
+            let by_next = faulted_scan(plan(), *retries, false);
+            let by_slice = faulted_scan(plan(), *retries, true);
+            assert_eq!(by_next, by_slice, "plan {i}");
+            let (_, errs, c) = by_slice;
+            if *retries == 0 {
+                assert_eq!(errs.len(), 3, "plan {i}: {errs:?}");
+                assert_eq!(errs.iter().filter(|e| e.starts_with("Corrupt")).count(), 2);
+                assert_eq!(c.corrupt_reads, 2);
+            } else {
+                assert!(c.retries > 0 && c.corrupt_reads == 1, "plan {i}: {c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn push_all_writes_the_blocks_of_single_pushes() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap(); // B = 16
+        let data: Vec<u64> = (0..203u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let before = ctx.stats().snapshot();
+        let mut w = ctx.writer::<u64>().unwrap();
+        for &x in &data {
+            w.push(x).unwrap();
+        }
+        let one = w.finish().unwrap();
+        let single = ctx.stats().snapshot().since(&before);
+        // Slices that start and end mid-block, span several blocks, or are
+        // empty.
+        let before = ctx.stats().snapshot();
+        let mut w = ctx.writer::<u64>().unwrap();
+        let mut rest = &data[..];
+        for n in [5usize, 0, 30, 16, 1, 50, 11, 64].iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at((*n).min(rest.len()));
+            w.push_all(head).unwrap();
+            rest = tail;
+        }
+        let all = w.finish().unwrap();
+        let sliced = ctx.stats().snapshot().since(&before);
+        assert_eq!(single, sliced);
+        assert_eq!(single.writes, 13); // ceil(203/16)
+        assert_eq!(all.num_blocks(), one.num_blocks());
+        for b in 0..one.num_blocks() {
+            assert_eq!(all.block_len(b), one.block_len(b));
+        }
+        let bytes = |f: &EmFile<u64>| std::fs::read(ctx.file_path(f.id()).unwrap()).unwrap();
+        assert_eq!(bytes(&one), bytes(&all));
+        assert_eq!(all.to_vec().unwrap(), data);
     }
 
     // ------------------------------------------------------------------

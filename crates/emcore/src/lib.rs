@@ -13,13 +13,15 @@
 //! ## Pieces
 //!
 //! * [`EmConfig`] — the model parameters `M` (memory capacity) and `B`
-//!   (block size), in records. `M` is a *dynamic* budget at runtime: the
-//!   [`MemoryGovernor`] can squeeze and restore it mid-run and algorithms
-//!   adapt at phase boundaries (`EmContext::set_mem_budget`).
+//!   (block size), in words (records only for one-word types). `M` is a
+//!   *dynamic* budget at runtime: the [`MemoryGovernor`] can squeeze and
+//!   restore it mid-run and algorithms adapt at phase boundaries
+//!   (`EmContext::set_mem_budget`).
 //! * [`EmContext`] — a "machine": config + shared [`IoStats`] +
 //!   [`MemoryTracker`] + backing store (host RAM or a real directory).
-//! * [`EmFile`] — a typed sequence of records stored in `B`-record blocks;
-//!   [`Reader`]/[`Writer`] give block-buffered sequential access.
+//! * [`EmFile`] — a typed sequence of records stored in `B`-word blocks;
+//!   [`Reader`]/[`Writer`] give block-buffered sequential access, a record
+//!   or a block slice at a time.
 //! * [`Record`] — fixed-width, keyed, POD records ([`KeyValue`],
 //!   [`Tagged`], [`Indexed`] provided).
 //! * [`SpillVec`] — bookkeeping arrays that can be written out to disk

@@ -253,6 +253,25 @@ impl<T> TrackedVec<T> {
         Ok(())
     }
 
+    /// Fallible bulk append: grows like [`TrackedVec::try_push`] (to at
+    /// least double the capacity) and charges the growth first; on a
+    /// strict budget violation the buffer is left unchanged.
+    pub fn try_extend_from_slice(&mut self, items: &[T]) -> Result<()>
+    where
+        T: Clone,
+    {
+        let need = self.vec.len() + items.len();
+        if need > self.vec.capacity() {
+            let new_cap = need.max(self.vec.capacity() * 2).max(4);
+            let new_charge = self
+                .tracker
+                .try_charge(new_cap * self.words_per_item, &self.context)?;
+            self.grow_to(new_cap, new_charge);
+        }
+        self.vec.extend_from_slice(items);
+        Ok(())
+    }
+
     fn grow_to(&mut self, new_cap: usize, new_charge: MemCharge) {
         if new_cap > self.vec.capacity() {
             self.vec.reserve_exact(new_cap - self.vec.len());

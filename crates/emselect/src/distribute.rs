@@ -68,12 +68,12 @@ pub fn distribute_segs<T: Record>(
         .mem()
         .try_charge(splitters.len() * T::WORDS, "distribution splitters")?;
     let mut writers: Vec<Writer<T>> = (0..f).map(|_| ctx.writer::<T>()).collect::<Result<_>>()?;
-    let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        let j = bucket_of(splitters, &x.key());
-        writers[j].push(x)?;
-    }
-    drop(r);
+    ChainReader::new(segs).for_each_slice(|chunk| {
+        for &x in chunk {
+            writers[bucket_of(splitters, &x.key())].push(x)?;
+        }
+        Ok(())
+    })?;
     let mut out = Vec::with_capacity(f);
     for w in writers {
         out.push(w.finish()?);
@@ -100,15 +100,16 @@ pub fn three_way_split_segs<T: Record>(
     let mut less = ctx.writer::<T>()?;
     let mut equal = ctx.writer::<T>()?;
     let mut greater = ctx.writer::<T>()?;
-    let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        match x.key().cmp(&pivot) {
-            std::cmp::Ordering::Less => less.push(x)?,
-            std::cmp::Ordering::Equal => equal.push(x)?,
-            std::cmp::Ordering::Greater => greater.push(x)?,
+    ChainReader::new(segs).for_each_slice(|chunk| {
+        for &x in chunk {
+            match x.key().cmp(&pivot) {
+                std::cmp::Ordering::Less => less.push(x)?,
+                std::cmp::Ordering::Equal => equal.push(x)?,
+                std::cmp::Ordering::Greater => greater.push(x)?,
+            }
         }
-    }
-    drop(r);
+        Ok(())
+    })?;
     Ok((less.finish()?, equal.finish()?, greater.finish()?))
 }
 

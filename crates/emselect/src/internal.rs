@@ -1,9 +1,14 @@
 //! In-memory selection primitives.
 //!
-//! These are the base cases of every external recursion: once a subproblem
-//! fits in memory, CPU work is free in the EM model, so we use simple,
-//! obviously-correct routines. `median_of_five` is the subgroup step of the
-//! intermixed-selection scan (paper §4.1, after [BFPRT 1973]).
+//! These are the base cases of every external recursion. Once a subproblem
+//! fits in memory, CPU work is free in the EM model but not in wall time,
+//! so the base cases cut by selection rather than sorting, through one
+//! kernel: [`partition_at_ranks`] places every requested rank in place, and
+//! [`multi_select_in_mem`] reads its answers off it. `median_of_five` is the
+//! subgroup step of the intermixed-selection scan (paper §4.1, after
+//! [BFPRT 1973]).
+
+use std::cmp::Ordering;
 
 use emcore::Record;
 
@@ -21,43 +26,61 @@ pub fn select_rank_in_mem<T: Record>(data: &mut [T], rank: u64) -> T {
 }
 
 /// The elements at several 1-based `ranks` (sorted ascending; duplicates
-/// allowed) among `data`, by recursive halving: select the middle rank,
-/// then recurse into the two sides. `O(n·lg k)` comparisons.
+/// allowed) among `data`. Rearranges `data` by recursive halving (select
+/// the middle rank, recurse into both sides; `O(n·lg k)` comparisons) and
+/// reads each answer off its final position.
 pub fn multi_select_in_mem<T: Record>(data: &mut [T], ranks: &[u64]) -> Vec<T> {
-    let mut out = vec![None; ranks.len()];
-    multi_select_rec(data, ranks, 0, &mut out);
-    out.into_iter()
-        .map(|o| o.expect("every rank filled"))
-        .collect()
+    partition_at_ranks(data, ranks);
+    ranks.iter().map(|&r| data[(r - 1) as usize]).collect()
 }
 
-fn multi_select_rec<T: Record>(
-    data: &mut [T],
-    ranks: &[u64],
-    rank_offset: u64,
-    out: &mut [Option<T>],
-) {
+/// Rearrange `data` in place so that for every 1-based rank `r` in
+/// `ranks` (sorted ascending; duplicates allowed), `data[r − 1]` holds the
+/// record of rank `r` by key, with keys `≤` its key to its left and `≥` to
+/// its right. Cutting `data` at those positions therefore gives exactly the
+/// multi-partition at `ranks`, without sorting inside the pieces.
+///
+/// Recursive halving: select the middle rank, then recurse into the two
+/// sides. `O(n·lg k)` comparisons. Panics if a rank is outside
+/// `[1, data.len()]`.
+pub(crate) fn partition_at_ranks<T: Record>(data: &mut [T], ranks: &[u64]) {
+    partition_at_ranks_by(data, ranks, &mut |a: &T, b: &T| a.key().cmp(&b.key()));
+}
+
+/// [`partition_at_ranks`] under an explicit order `cmp` (the
+/// comparison-counting kernels of [`crate::internal_bounds`] pass a
+/// counting one).
+pub(crate) fn partition_at_ranks_by<T, F>(data: &mut [T], ranks: &[u64], cmp: &mut F)
+where
+    F: FnMut(&T, &T) -> Ordering,
+{
+    if let (Some(&lo), Some(&hi)) = (ranks.first(), ranks.last()) {
+        assert!(
+            lo >= 1 && hi <= data.len() as u64,
+            "ranks [{lo}, {hi}] out of range [1, {}]",
+            data.len()
+        );
+    }
+    debug_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "ranks ascending");
+    partition_rec(data, ranks, 0, cmp);
+}
+
+fn partition_rec<T, F>(data: &mut [T], ranks: &[u64], rank_offset: u64, cmp: &mut F)
+where
+    F: FnMut(&T, &T) -> Ordering,
+{
     if ranks.is_empty() {
         return;
     }
-    debug_assert_eq!(ranks.len(), out.len());
     let mid = ranks.len() / 2;
     let r = ranks[mid];
     let local = (r - rank_offset) as usize; // 1-based within `data`
-    debug_assert!(local >= 1 && local <= data.len());
-    let idx = local - 1;
-    let (lo, kth, hi) = data.select_nth_unstable_by(idx, |a, b| a.key().cmp(&b.key()));
-    let kth = *kth;
-    // All ranks equal to r are answered by this element.
+    let (lo, _, hi) = data.select_nth_unstable_by(local - 1, &mut *cmp);
+    // Every rank equal to r is answered by the element just placed.
     let lo_end = ranks[..mid].partition_point(|&x| x < r);
     let hi_start = mid + ranks[mid..].partition_point(|&x| x <= r);
-    for slot in &mut out[lo_end..hi_start] {
-        *slot = Some(kth);
-    }
-    let (out_lo, rest) = out.split_at_mut(lo_end);
-    let (_, out_hi) = rest.split_at_mut(hi_start - lo_end);
-    multi_select_rec(lo, &ranks[..lo_end], rank_offset, out_lo);
-    multi_select_rec(hi, &ranks[hi_start..], rank_offset + local as u64, out_hi);
+    partition_rec(lo, &ranks[..lo_end], rank_offset, cmp);
+    partition_rec(hi, &ranks[hi_start..], rank_offset + local as u64, cmp);
 }
 
 /// Median (lower median for even sizes) of at most five records, by key.
@@ -163,6 +186,89 @@ mod tests {
             let got = multi_select_in_mem(&mut work, &ranks);
             assert_eq!(got, want, "trial {trial}, n {n}, ranks {ranks:?}");
         }
+    }
+
+    /// Check [`partition_at_ranks`] against a sorted oracle: each
+    /// `data[r − 1]` is the rank-`r` key, keys to its left are `≤` and to
+    /// its right `≥`, and `data` is still a permutation of its input.
+    fn check_partition_at_ranks(input: &[u64], ranks: &[u64]) {
+        let mut sorted = input.to_vec();
+        sorted.sort_unstable();
+        let mut data = input.to_vec();
+        partition_at_ranks(&mut data, ranks);
+        // Running maxima from the left and minima from the right check
+        // every prefix and suffix in linear time.
+        let n = data.len();
+        let mut pre_max = vec![0u64; n + 1];
+        let mut suf_min = vec![u64::MAX; n + 1];
+        for i in 0..n {
+            pre_max[i + 1] = pre_max[i].max(data[i]);
+            suf_min[n - 1 - i] = suf_min[n - i].min(data[n - 1 - i]);
+        }
+        for &r in ranks {
+            let i = (r - 1) as usize;
+            let k = data[i];
+            assert_eq!(k, sorted[i], "rank {r} of {n}");
+            assert!(pre_max[i] <= k, "prefix of rank {r}");
+            assert!(suf_min[i + 1] >= k, "suffix of rank {r}");
+        }
+        let mut back = data.clone();
+        back.sort_unstable();
+        assert_eq!(back, sorted, "multiset");
+        let mut work = input.to_vec();
+        let want: Vec<u64> = ranks.iter().map(|&r| sorted[(r - 1) as usize]).collect();
+        assert_eq!(multi_select_in_mem(&mut work, ranks), want);
+    }
+
+    #[test]
+    fn partition_at_ranks_matches_sorted_oracle() {
+        let mut rng = emcore::SplitMix64::new(0x5EED);
+        let mut lens = vec![0usize, 1, 2, 3, 5_000];
+        lens.extend((0..40).map(|_| rng.below(5_001) as usize));
+        for &n in &lens {
+            // Distinct keys, then few distinct keys.
+            for distinct in [true, false] {
+                let input: Vec<u64> = (0..n)
+                    .map(|i| {
+                        if distinct {
+                            (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        } else {
+                            rng.below(4)
+                        }
+                    })
+                    .collect();
+                let n = n as u64;
+                let mut sets: Vec<Vec<u64>> = vec![Vec::new()];
+                if n > 0 {
+                    let mut random: Vec<u64> =
+                        (0..1 + rng.below(20)).map(|_| 1 + rng.below(n)).collect();
+                    random.extend([1, n, 1 + rng.below(n)]);
+                    let dup = random[0];
+                    random.extend([dup, dup]); // repeated ranks
+                    random.sort_unstable();
+                    sets.push(random);
+                    sets.push(vec![1 + rng.below(n)]); // a single rank
+                    sets.push(vec![1]);
+                    sets.push(vec![n]);
+                    sets.push((1..=n).collect()); // every rank
+                }
+                for ranks in &sets {
+                    check_partition_at_ranks(&input, ranks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn partition_at_ranks_rejects_rank_zero() {
+        partition_at_ranks(&mut [3u64, 1, 2], &[0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn partition_at_ranks_rejects_rank_past_the_end() {
+        partition_at_ranks(&mut [3u64, 1, 2], &[2, 4]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use std::cell::Cell;
 
+use crate::internal::partition_at_ranks_by;
+
 /// A comparison counter threaded through the algorithms below.
 #[derive(Debug, Default)]
 pub struct CmpCounter {
@@ -45,53 +47,17 @@ pub fn multi_select_counting<K: Ord + Copy>(
     ranks: &[u64],
     cmp: &CmpCounter,
 ) -> Vec<K> {
-    let mut out = vec![None; ranks.len()];
-    rec(data, ranks, 0, &mut out, cmp);
-    return out.into_iter().map(|o| o.expect("filled")).collect();
-
-    fn rec<K: Ord + Copy>(
-        data: &mut [K],
-        ranks: &[u64],
-        offset: u64,
-        out: &mut [Option<K>],
-        cmp: &CmpCounter,
-    ) {
-        if ranks.is_empty() {
-            return;
-        }
-        let mid = ranks.len() / 2;
-        let local = (ranks[mid] - offset) as usize; // 1-based
-        let idx = local - 1;
-        let (lo, kth, hi) = data.select_nth_unstable_by(idx, |a, b| cmp.cmp(a, b));
-        let kth = *kth;
-        let lo_end = ranks[..mid].partition_point(|&x| x < ranks[mid]);
-        let hi_start = mid + ranks[mid..].partition_point(|&x| x <= ranks[mid]);
-        for slot in &mut out[lo_end..hi_start] {
-            *slot = Some(kth);
-        }
-        let (out_lo, rest) = out.split_at_mut(lo_end);
-        let (_, out_hi) = rest.split_at_mut(hi_start - lo_end);
-        rec(lo, &ranks[..lo_end], offset, out_lo, cmp);
-        rec(hi, &ranks[hi_start..], offset + local as u64, out_hi, cmp);
-    }
+    multi_partition_counting(data, ranks, cmp);
+    ranks.iter().map(|&r| data[(r - 1) as usize]).collect()
 }
 
 /// In-RAM multi-partition by recursive halving: rearranges `data` so that
 /// the element ranges split exactly at the given ascending interior
 /// `ranks`, counting every key comparison. (The classical lower bound —
 /// paper Lemma 5's internal-memory analogue — is `Ω(N lg K)`, matched
-/// here.)
+/// here.) The same kernel as the base cases' `partition_at_ranks`.
 pub fn multi_partition_counting<K: Ord + Copy>(data: &mut [K], ranks: &[u64], cmp: &CmpCounter) {
-    if ranks.is_empty() || data.is_empty() {
-        return;
-    }
-    let mid = ranks.len() / 2;
-    let idx = (ranks[mid] - 1) as usize;
-    let (lo, _, hi) = data.select_nth_unstable_by(idx, |a, b| cmp.cmp(a, b));
-    let lo_ranks: Vec<u64> = ranks[..mid].to_vec();
-    let hi_ranks: Vec<u64> = ranks[mid + 1..].iter().map(|&r| r - ranks[mid]).collect();
-    multi_partition_counting(lo, &lo_ranks, cmp);
-    multi_partition_counting(hi, &hi_ranks, cmp);
+    partition_at_ranks_by(data, ranks, &mut |a: &K, b: &K| cmp.cmp(a, b));
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! the target boundary ranks to buckets. Buckets containing no interior
 //! rank lie inside a single output partition and are emitted verbatim;
 //! the rest recurse on geometrically smaller inputs. Memory-resident
-//! subproblems finish by an in-memory sort. Inputs dominated by one key
+//! subproblems finish by selection, not sorting: the load is read a block
+//! at a time, `partition_at_ranks` places its local boundary
+//! ranks in place, and the output sink cuts it there, so records inside a
+//! partition stay unordered. Inputs dominated by one key
 //! value (which no splitter set can spread) fall back to a three-way
 //! split around that value; the `equal` slab is emitted directly since
 //! its records are mutually interchangeable.
@@ -25,7 +28,8 @@
 use emcore::{EmContext, EmError, EmFile, Record, Result, Writer};
 
 use crate::distribute::{distribute_segs, max_distribution_fanout_now, three_way_split};
-use crate::partition_out::{segs_len, ChainReader, Partition};
+use crate::internal::partition_at_ranks;
+use crate::partition_out::{load_segs, segs_len, ChainReader, Partition};
 use crate::sample_splitters::{
     max_deterministic_fanout_n, sample_splitters_segs, SplitterStrategy,
 };
@@ -165,17 +169,11 @@ fn mp_rec<T: Record>(
     }
     let base_cap = (ctx.mem_records::<T>() / 2).max(ctx.config().block_size());
     if n as usize <= base_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "multi-partition base case")?;
-        let mut r = ChainReader::new(d.segs());
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
-        buf.sort_unstable_by_key(|a| a.key());
-        for &x in buf.iter() {
-            sink.push(x)?;
-        }
-        return Ok(());
+        // Only the cuts need an order: select the boundary ranks in place
+        // and stream the load through the sink, which cuts at them.
+        let mut buf = load_segs(ctx, d.segs(), "multi-partition base case")?;
+        partition_at_ranks(&mut buf, ranks);
+        return sink.push_slice(&buf);
     }
 
     let fmax = max_distribution_fanout_now::<T>(ctx)
@@ -303,16 +301,29 @@ impl<T: Record> PartitionSink<T> {
         Ok(s)
     }
 
-    /// Append one record to the current partition.
-    fn push(&mut self, rec: T) -> Result<()> {
-        debug_assert!(self.cur < self.bounds.len(), "pushed past final boundary");
-        let buf = match self.buf.as_mut() {
-            Some(w) => w,
-            None => self.buf.insert(self.ctx.writer::<T>()?),
-        };
-        buf.push(rec)?;
-        self.written += 1;
-        self.advance()
+    /// Append records in order, cutting them at every partition boundary
+    /// they cross.
+    fn push_slice(&mut self, mut recs: &[T]) -> Result<()> {
+        while !recs.is_empty() {
+            let Some(&bound) = self.bounds.get(self.cur) else {
+                return Err(EmError::config(
+                    "partition sink: pushed past the final boundary",
+                ));
+            };
+            // `advance` has moved past every boundary already reached, so
+            // the current partition has room for at least one record.
+            let room = (bound - self.written).min(recs.len() as u64) as usize;
+            let (head, rest) = recs.split_at(room);
+            let w = match self.buf.as_mut() {
+                Some(w) => w,
+                None => self.buf.insert(self.ctx.writer::<T>()?),
+            };
+            w.push_all(head)?;
+            self.written += room as u64;
+            recs = rest;
+            self.advance()?;
+        }
+        Ok(())
     }
 
     /// Adopt a whole file as a segment of the current partition — `O(1)`,
@@ -333,14 +344,10 @@ impl<T: Record> PartitionSink<T> {
         self.advance()
     }
 
-    /// Stream a file record by record through the boundary cuts (used for
-    /// the interchangeable equal-slab fallback).
+    /// Stream a file a block at a time through the boundary cuts (used for
+    /// borrowed rank-free inputs and the interchangeable equal slab).
     fn stream_file(&mut self, file: &EmFile<T>) -> Result<()> {
-        let mut r = file.reader()?;
-        while let Some(x) = r.next()? {
-            self.push(x)?;
-        }
-        Ok(())
+        ChainReader::new(std::slice::from_ref(file)).for_each_slice(|chunk| self.push_slice(chunk))
     }
 
     fn flush_buf(&mut self) -> Result<()> {
@@ -536,6 +543,77 @@ mod tests {
         let max0 = p0.iter().max().unwrap();
         let min1 = p1.iter().min().unwrap();
         assert!(max0 <= min1);
+    }
+
+    #[test]
+    fn random_geometries_partition_exactly() {
+        let mut rng = emcore::SplitMix64::new(0xB10C);
+        for trial in 0..32u64 {
+            let b = [8usize, 16, 32, 64][rng.below(4) as usize];
+            let m = b * [16usize, 32, 64][rng.below(3) as usize];
+            let c = EmContext::new_in_memory_strict(EmConfig::new(m, b).unwrap());
+            let n = if trial % 4 == 3 {
+                1 + rng.below(2 * b as u64)
+            } else {
+                1 + rng.below(12 * m as u64)
+            };
+            let data: Vec<u64> = match trial % 3 {
+                0 => (0..n).map(|_| rng.next_u64()).collect(),
+                1 => (0..n).map(|_| rng.below(1 + n / 64)).collect(),
+                _ => (0..n).map(|_| rng.below(3)).collect(),
+            };
+            // Sizes from random cuts: repeated cuts and cuts at 0 or n
+            // leave empty partitions.
+            let k = 1 + rng.below(40);
+            let mut cuts: Vec<u64> = (1..k).map(|_| rng.below(n + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(n);
+            let mut prev = 0;
+            let mut sizes: Vec<u64> = cuts
+                .iter()
+                .map(|&c| {
+                    let s = c - prev;
+                    prev = c;
+                    s
+                })
+                .collect();
+            sizes.insert(rng.below(k + 1) as usize, 0);
+            // The input as one to three segments, possibly one empty.
+            let mut bounds = vec![0, n];
+            bounds.extend((0..rng.below(3)).map(|_| rng.below(n + 1)));
+            bounds.sort_unstable();
+            let segs: Vec<EmFile<u64>> = bounds
+                .windows(2)
+                .map(|w| {
+                    let chunk = &data[w[0] as usize..w[1] as usize];
+                    c.stats().paused(|| EmFile::from_slice(&c, chunk)).unwrap()
+                })
+                .collect();
+            let parts = multi_partition_segs(&c, &segs, &sizes, MpOptions::default()).unwrap();
+            // Each partition holds exactly its slice of the sorted input:
+            // sizes, cross-partition order and the multiset in one check.
+            let mut sorted = data.clone();
+            sorted.sort_unstable();
+            assert_eq!(parts.len(), sizes.len());
+            let mut lo = 0usize;
+            for (i, (p, &size)) in parts.iter().zip(&sizes).enumerate() {
+                assert_eq!(p.len(), size, "trial {trial}: partition {i} size");
+                let mut v = c.stats().paused(|| p.to_vec()).unwrap();
+                v.sort_unstable();
+                let hi = lo + size as usize;
+                assert!(
+                    v[..] == sorted[lo..hi],
+                    "trial {trial} (M={m}, B={b}, n={n}): partition {i} keys"
+                );
+                lo = hi;
+            }
+            assert_eq!(lo as u64, n);
+            assert!(
+                c.mem().peak() <= m,
+                "trial {trial}: peak {}",
+                c.mem().peak()
+            );
+        }
     }
 
     #[test]

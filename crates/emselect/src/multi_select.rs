@@ -25,7 +25,7 @@ use emcore::{EmContext, EmError, EmFile, Record, Result, Tagged};
 
 use crate::intermixed::{intermixed_select, max_groups};
 use crate::multi_partition::multi_partition_at_ranks;
-use crate::partition_out::{segs_len, ChainReader};
+use crate::partition_out::{load_segs, segs_len, ChainReader};
 use crate::sample_splitters::{
     bucket_of, count_buckets_segs, max_deterministic_fanout_n, refined_splitters,
     sample_splitters_segs, SplitterStrategy,
@@ -217,10 +217,7 @@ fn multi_select_sorted<T: Record>(
         &segs[0]
     } else {
         let mut w = ctx.writer::<T>()?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            w.push(x)?;
-        }
+        ChainReader::new(segs).for_each_slice(|chunk| w.push_all(chunk))?;
         flattened = w.finish()?;
         &flattened
     };
@@ -262,12 +259,7 @@ fn base_case<T: Record>(
     // array and block buffers; matches multi-partition's base threshold.)
     let mem_cap = (ctx.mem_records::<T>() / 2).max(block);
     if n as usize <= mem_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "multi-select base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
+        let mut buf = load_segs(ctx, segs, "multi-select base buffer")?;
         return Ok(crate::internal::multi_select_in_mem(&mut buf, ranks));
     }
 
@@ -360,12 +352,7 @@ fn pruned_select<T: Record>(
     let block = ctx.config().block_size();
     let mem_cap = (ctx.mem_records::<T>() / 2).max(block);
     if n as usize <= mem_cap {
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "pruned-select base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
-        drop(r);
+        let mut buf = load_segs(ctx, segs, "pruned-select base buffer")?;
         return Ok(crate::internal::multi_select_in_mem(&mut buf, ranks));
     }
     let phase = ctx.stats().phase_guard("multi-select/pruned");

@@ -8,7 +8,7 @@
 //! read + one write pass each, matching the
 //! `O((N/B)·lg_{M/B} K)` bound with a small constant.
 
-use emcore::{EmContext, EmFile, Record, Result};
+use emcore::{EmContext, EmFile, Record, Result, TrackedVec};
 
 /// One ordered partition: the concatenation of its file segments.
 /// The relative order of records *within* a partition is unspecified
@@ -136,25 +136,93 @@ impl<'a, T: Record> ChainReader<'a, T> {
         }
     }
 
+    /// The unread records of the current block, as
+    /// [`emcore::Reader::fill_buf`]: moves on to the next non-empty
+    /// segment when one is used up; an empty slice means the end of the
+    /// last segment.
+    pub fn fill_buf(&mut self) -> Result<&[T]> {
+        loop {
+            if let Some(r) = self.cur.as_mut() {
+                if !r.fill_buf()?.is_empty() {
+                    break;
+                }
+                self.cur = None; // segment exhausted; free its buffer
+            }
+            if self.idx >= self.segs.len() {
+                return Ok(&[]);
+            }
+            self.cur = Some(self.segs[self.idx].reader()?);
+            self.idx += 1;
+        }
+        match self.cur.as_mut() {
+            Some(r) => r.fill_buf(),
+            None => Ok(&[]),
+        }
+    }
+
+    /// Mark `n` records of the slice last returned by
+    /// [`ChainReader::fill_buf`] as read.
+    pub fn consume(&mut self, n: usize) {
+        if let Some(r) = self.cur.as_mut() {
+            r.consume(n);
+        }
+    }
+
     /// Next record, or `None` at the end of the last segment.
     // Fallible streaming, deliberately not Iterator (whose `next` cannot
     // surface `EmError`).
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<T>> {
+        let rec = self.fill_buf()?.first().copied();
+        if rec.is_some() {
+            self.consume(1);
+        }
+        Ok(rec)
+    }
+
+    /// Append up to `limit` more records to `out`, a block at a time.
+    /// Returns how many were appended: fewer than `limit` only at the end
+    /// of the last segment.
+    pub(crate) fn read_into(&mut self, out: &mut TrackedVec<T>, limit: usize) -> Result<usize> {
+        let mut got = 0;
+        while got < limit {
+            let chunk = self.fill_buf()?;
+            if chunk.is_empty() {
+                break;
+            }
+            let take = chunk.len().min(limit - got);
+            out.try_extend_from_slice(&chunk[..take])?;
+            self.consume(take);
+            got += take;
+        }
+        Ok(got)
+    }
+
+    /// Call `f` on every remaining record, one block slice at a time.
+    pub(crate) fn for_each_slice(&mut self, mut f: impl FnMut(&[T]) -> Result<()>) -> Result<()> {
         loop {
-            if let Some(r) = self.cur.as_mut() {
-                if let Some(x) = r.next()? {
-                    return Ok(Some(x));
-                }
-                self.cur = None; // segment exhausted; free its buffer
+            let chunk = self.fill_buf()?;
+            if chunk.is_empty() {
+                return Ok(());
             }
-            if self.idx >= self.segs.len() {
-                return Ok(None);
-            }
-            self.cur = Some(self.segs[self.idx].reader()?);
-            self.idx += 1;
+            let n = chunk.len();
+            f(chunk)?;
+            self.consume(n);
         }
     }
+}
+
+/// Every record of `segs` in one tracked buffer of exactly their count,
+/// loaded a block at a time. The scan's reader is released on return.
+pub(crate) fn load_segs<T: Record>(
+    ctx: &EmContext,
+    segs: &[EmFile<T>],
+    context: &str,
+) -> Result<TrackedVec<T>> {
+    let n = segs_len(segs) as usize;
+    let mut buf = ctx.try_tracked_vec::<T>(n, context)?;
+    ChainReader::new(segs).read_into(&mut buf, n)?;
+    Ok(buf)
 }
 
 #[cfg(test)]
@@ -180,6 +248,63 @@ mod tests {
             got.push(x);
         }
         assert_eq!(got, vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn chain_reader_slices_skip_an_empty_middle_segment() {
+        let c = EmContext::new_in_memory_strict(EmConfig::tiny()); // B = 16
+        let a = EmFile::from_slice(&c, &(0..20u64).collect::<Vec<_>>()).unwrap();
+        let b = c.create_file::<u64>().unwrap();
+        let d = EmFile::from_slice(&c, &(20..23u64).collect::<Vec<_>>()).unwrap();
+        let segs = vec![a, b, d];
+        let before = c.stats().snapshot();
+        let mut r = ChainReader::new(&segs);
+        let mut lens = Vec::new();
+        loop {
+            let s = r.fill_buf().unwrap();
+            if s.is_empty() {
+                break;
+            }
+            // One block buffer is live at a time, the empty segment's too.
+            assert_eq!(c.mem().current(), 16);
+            lens.push(s.len());
+            let n = s.len();
+            r.consume(n);
+        }
+        assert_eq!(lens, vec![16, 4, 3]);
+        assert!(r.fill_buf().unwrap().is_empty());
+        assert_eq!(c.stats().snapshot().since(&before).reads, 3);
+        drop(r);
+        assert_eq!(c.mem().current(), 0);
+
+        // Bounded loads stop mid-block and pick up where they stopped;
+        // slices visit the rest in order.
+        let mut r = ChainReader::new(&segs);
+        let mut buf = c.try_tracked_vec::<u64>(18, "test load").unwrap();
+        assert_eq!(r.read_into(&mut buf, 18).unwrap(), 18);
+        assert_eq!(r.next().unwrap(), Some(18));
+        let mut rest = Vec::new();
+        r.for_each_slice(|s| {
+            rest.extend_from_slice(s);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(*buf, (0..18u64).collect::<Vec<_>>());
+        assert_eq!(rest, (19..23u64).collect::<Vec<_>>());
+        assert_eq!(r.read_into(&mut buf, 5).unwrap(), 0);
+    }
+
+    #[test]
+    fn load_segs_reads_each_block_once_and_frees_its_reader() {
+        let c = EmContext::new_in_memory_strict(EmConfig::tiny());
+        let a = EmFile::from_slice(&c, &(0..40u64).collect::<Vec<_>>()).unwrap();
+        let b = EmFile::from_slice(&c, &(40..45u64).collect::<Vec<_>>()).unwrap();
+        let segs = vec![a, b];
+        let before = c.stats().snapshot();
+        let buf = load_segs(&c, &segs, "test load").unwrap();
+        assert_eq!(*buf, (0..45u64).collect::<Vec<_>>());
+        assert_eq!(c.stats().snapshot().since(&before).reads, 4);
+        assert_eq!(c.mem().current(), 45, "only the load stays charged");
     }
 
     #[test]

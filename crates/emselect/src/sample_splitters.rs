@@ -12,12 +12,20 @@
 //!   memory, then pick evenly. Rank error after `L` levels is at most
 //!   `ρ·L·n/C` (`C` = load capacity), so every bucket is within `n/f ±
 //!   2·ρ·L·n/C`; the guarantee `bucket ≤ 2n/f` holds whenever
-//!   `f ≤ fmax = C/(4·ρ·L)` — see [`max_deterministic_fanout`]. This makes
-//!   the deterministic base-case capacity of Theorem 4 `Θ(M/log(N/M))`
-//!   rather than `Θ(M)`; see DESIGN.md "substitutions".
+//!   `f ≤ C/(4·ρ·L)`. [`max_deterministic_fanout`] is that bound at
+//!   `ρ = SAMPLE_RHO`. This makes the deterministic base-case capacity of
+//!   Theorem 4 `Θ(M/log(N/M))` rather than `Θ(M)`; see DESIGN.md
+//!   "substitutions". Each call thins only as finely as its `f` needs: `ρ`
+//!   is the coarsest power of two `≥ SAMPLE_RHO` for which `f ≤ C/(4·ρ·L)`
+//!   still holds, so a fan-out well below the maximum writes a sparser
+//!   sample over fewer levels under the same guarantee.
 //! * **Randomized** reservoir sampling: one scan keeps a uniform sample of
-//!   `min(C/2, 16·f·ln n)` records; even picks from the sorted sample give
+//!   `min(C/2, 16·f·ln n)` records; even picks from the sample give
 //!   buckets `≤ 2n/f` w.h.p. for `f` up to `Θ(M)`.
+//!
+//! Both strategies pick their `f − 1` evenly spaced splitters by in-place
+//! selection (`partition_at_ranks`), not by sorting the sample, and read
+//! their input a block slice at a time.
 //!
 //! All entry points come in two flavours: over a single [`EmFile`] and
 //! over a *segment list* (`&[EmFile<T>]`, as produced by
@@ -27,9 +35,12 @@
 use emcore::SplitMix64;
 use emcore::{EmContext, EmError, EmFile, Record, Result};
 
-use crate::partition_out::{segs_len, ChainReader};
+use crate::internal::multi_select_in_mem;
+use crate::partition_out::{load_segs, segs_len, ChainReader};
 
-/// The per-level thinning factor of the deterministic strategy.
+/// The finest per-level thinning factor of the deterministic strategy,
+/// and the one [`max_deterministic_fanout`] assumes. A call thins by the
+/// coarsest power of two `≥ SAMPLE_RHO` its fan-out allows.
 pub const SAMPLE_RHO: usize = 4;
 
 /// How splitters are sampled.
@@ -58,15 +69,31 @@ fn load_capacity<T: Record>(ctx: &EmContext) -> usize {
 }
 
 /// Number of sampling levels the deterministic strategy needs for `n`
-/// records with load capacity `cap`.
-fn levels(n: u64, cap: usize) -> u32 {
-    let mut lv = 0u32;
+/// records with load capacity `cap`, thinning by `rho` per level.
+fn levels(n: u64, cap: usize, rho: usize) -> usize {
+    let mut lv = 0;
     let mut m = n;
     while m > cap as u64 {
-        m /= SAMPLE_RHO as u64;
+        m /= rho as u64;
         lv += 1;
     }
     lv.max(1)
+}
+
+/// The thinning factor the deterministic strategy uses for fan-out `f`
+/// over `n` records: the coarsest power of two `ρ ≥ SAMPLE_RHO` for which
+/// `f ≤ C/(4·ρ·L(ρ))` still holds, so every bucket keeps the `≤ 2n/f`
+/// guarantee with the fewest sample writes. `ρ·L(ρ)` never falls as `ρ`
+/// doubles, so the first `ρ` that fails ends the search. When even
+/// `SAMPLE_RHO` fails (`f` above [`max_deterministic_fanout`]'s formula)
+/// it is `SAMPLE_RHO`.
+fn sample_rho(f: usize, n: u64, cap: usize) -> usize {
+    let fits = |rho: usize| f <= cap / (4 * rho * levels(n, cap, rho));
+    let mut rho = SAMPLE_RHO;
+    while rho * 2 <= cap && fits(rho * 2) {
+        rho *= 2;
+    }
+    rho
 }
 
 /// Largest fan-out for which the deterministic strategy guarantees every
@@ -83,7 +110,7 @@ pub fn max_deterministic_fanout_n<T: Record>(ctx: &EmContext, n: u64) -> usize {
         // (bounded by the number of records).
         return cap.max(2);
     }
-    let lv = levels(n, cap) as usize;
+    let lv = levels(n, cap, SAMPLE_RHO);
     (cap / (4 * SAMPLE_RHO * lv)).max(2)
 }
 
@@ -120,88 +147,51 @@ pub fn sample_splitters_segs<T: Record>(
     }
 }
 
-fn pick_even<T: Record>(sorted: &[T], f: usize) -> Vec<T> {
-    // Splitter i (1-based, i = 1..f-1) is the element of rank
-    // round(i·n/f) in the (sorted) sample.
-    let n = sorted.len();
-    let mut out = Vec::with_capacity(f - 1);
-    for i in 1..f {
-        let rank = ((i as u64 * n as u64) / f as u64).max(1);
-        out.push(sorted[(rank - 1) as usize]);
-    }
-    out
+/// The `f − 1` evenly spaced records of `sample`, found by selection:
+/// splitter `i` (`i = 1..f`) is the record of rank `max(1, ⌊i·n/f⌋)`. `f`
+/// is first capped at `max(n, 2)`.
+fn pick_even<T: Record>(sample: &mut [T], f: usize) -> Vec<T> {
+    let n = sample.len() as u64;
+    let f = (f as u64).min(n.max(2));
+    let ranks: Vec<u64> = (1..f).map(|i| (i * n / f).max(1)).collect();
+    multi_select_in_mem(sample, &ranks)
 }
 
 fn deterministic<T: Record>(ctx: &EmContext, segs: &[EmFile<T>], f: usize) -> Result<Vec<T>> {
     let cap = load_capacity::<T>(ctx);
+    let rho = sample_rho(f, segs_len(segs), cap);
 
     // Level 0 reads the borrowed segments; subsequent levels own their
     // sample files.
     let mut current: Option<EmFile<T>> = None;
     loop {
-        let len = match &current {
-            None => segs_len(segs),
-            Some(fl) => fl.len(),
+        let level = match &current {
+            None => segs,
+            Some(fl) => std::slice::from_ref(fl),
         };
-        if len <= cap as u64 {
-            // Load, sort, pick evenly.
-            let mut buf = ctx.try_tracked_vec::<T>(len as usize, "splitter final sample")?;
-            match &current {
-                None => {
-                    let mut r = ChainReader::new(segs);
-                    while let Some(x) = r.next()? {
-                        buf.push(x);
-                    }
-                }
-                Some(fl) => {
-                    let mut r = fl.reader()?;
-                    while let Some(x) = r.next()? {
-                        buf.push(x);
-                    }
-                }
-            }
-            buf.sort_unstable_by_key(|a| a.key());
-            let f_eff = f.min(buf.len().max(2));
-            return Ok(pick_even(&buf, f_eff));
+        if segs_len(level) <= cap as u64 {
+            // Load and pick evenly.
+            let mut sample = load_segs(ctx, level, "splitter final sample")?;
+            return Ok(pick_even(&mut sample, f));
         }
         // One reduction level: sort chunks of `cap`, keep every ρ-th.
         let mut load = ctx.try_tracked_vec::<T>(cap, "splitter sample chunk")?;
         let mut w = ctx.writer::<T>()?;
-        {
-            let mut reduce = |next: &mut dyn FnMut() -> Result<Option<T>>| -> Result<()> {
-                loop {
-                    load.clear();
-                    while load.len() < cap {
-                        match next()? {
-                            Some(x) => load.push(x),
-                            None => break,
-                        }
-                    }
-                    if load.is_empty() {
-                        return Ok(());
-                    }
-                    load.sort_unstable_by_key(|a| a.key());
-                    let mut i = SAMPLE_RHO - 1;
-                    while i < load.len() {
-                        w.push(load[i])?;
-                        i += SAMPLE_RHO;
-                    }
-                    if load.len() < cap {
-                        return Ok(());
-                    }
-                }
-            };
-            match &current {
-                None => {
-                    let mut r = ChainReader::new(segs);
-                    reduce(&mut || r.next())?;
-                }
-                Some(fl) => {
-                    let mut r = fl.reader()?;
-                    reduce(&mut || r.next())?;
-                }
+        let mut r = ChainReader::new(level);
+        loop {
+            load.clear();
+            if r.read_into(&mut load, cap)? == 0 {
+                break;
+            }
+            load.sort_unstable_by_key(|a| a.key());
+            for &x in load.iter().skip(rho - 1).step_by(rho) {
+                w.push(x)?;
+            }
+            if load.len() < cap {
+                break;
             }
         }
+        drop(r);
         drop(load);
         current = Some(w.finish()?);
     }
@@ -221,21 +211,19 @@ fn randomized<T: Record>(
     let mut rng = SplitMix64::new(seed);
     let mut reservoir = ctx.try_tracked_vec::<T>(target, "splitter reservoir")?;
     let mut r = ChainReader::new(segs);
-    let mut seen = 0u64;
-    while let Some(x) = r.next()? {
-        seen += 1;
-        if reservoir.len() < target {
-            reservoir.push(x);
-        } else {
+    let mut seen = r.read_into(&mut reservoir, target)? as u64;
+    r.for_each_slice(|chunk| {
+        for &x in chunk {
+            seen += 1;
             let j = rng.below(seen) as usize;
             if j < target {
                 reservoir[j] = x;
             }
         }
-    }
-    reservoir.sort_unstable_by_key(|a| a.key());
-    let f_eff = f.min(reservoir.len().max(2));
-    Ok(pick_even(&reservoir, f_eff))
+        Ok(())
+    })?;
+    drop(r);
+    Ok(pick_even(&mut reservoir, f))
 }
 
 /// Iterated-refinement deterministic splitters: two sampling rounds reach
@@ -314,10 +302,12 @@ pub fn count_buckets_segs<T: Record>(
         .mem()
         .try_charge(splitters.len() * T::WORDS, "bucket-count splitters")?;
     let mut counts = vec![0u64; splitters.len() + 1];
-    let mut r = ChainReader::new(segs);
-    while let Some(x) = r.next()? {
-        counts[bucket_of(splitters, &x.key())] += 1;
-    }
+    ChainReader::new(segs).for_each_slice(|chunk| {
+        for x in chunk {
+            counts[bucket_of(splitters, &x.key())] += 1;
+        }
+        Ok(())
+    })?;
     Ok(counts)
 }
 
@@ -418,6 +408,81 @@ mod tests {
             ios <= 3 * scan,
             "sampling took {ios} I/Os, more than 3 scans ({scan} each)"
         );
+    }
+
+    /// Inputs the bucket guarantee must hold on: a permutation, sorted,
+    /// reversed, organ-pipe (every key twice) and few-distinct (about 25
+    /// copies of each key).
+    fn families(n: u64) -> Vec<(&'static str, Vec<u64>)> {
+        let mut rng = SplitMix64::new(n);
+        vec![
+            ("uniform", shuffled(n)),
+            ("sorted", (0..n).collect()),
+            ("reversed", (0..n).rev().collect()),
+            ("organ-pipe", (0..n).map(|i| i.min(n - 1 - i)).collect()),
+            ("few-distinct", (0..n).map(|_| rng.below(n / 25)).collect()),
+        ]
+    }
+
+    #[test]
+    fn derived_rho_keeps_the_bucket_guarantee() {
+        let c = EmContext::new_in_memory_strict(EmConfig::medium()); // M=4096, B=64
+        let n = 100_000u64;
+        for (name, data) in families(n) {
+            let file = c.stats().paused(|| EmFile::from_slice(&c, &data)).unwrap();
+            let fmax = max_deterministic_fanout(&file);
+            assert_eq!(fmax, 80);
+            for f in [2, 3, 8, fmax / 2, fmax] {
+                let sp = sample_splitters(&file, f, SplitterStrategy::Deterministic).unwrap();
+                assert_eq!(sp.len(), f - 1, "{name}, f = {f}");
+                assert!(sp.windows(2).all(|w| w[0] <= w[1]), "{name}, f = {f}");
+                check_buckets(&file, &sp, f, 2.0);
+            }
+        }
+    }
+
+    #[test]
+    fn rho_is_the_coarsest_that_keeps_the_guarantee() {
+        let cap = 65_536 - 4 * 1_024; // perf's geometry: M = 65,536, B = 1,024
+        let n = 1_000_000u64;
+        // The distribution fan-out (60) samples with one level at ρ = 256.
+        assert_eq!(sample_rho(60, n, cap), 256);
+        assert_eq!(levels(n, cap, 256), 1);
+        // At the deterministic maximum the bound leaves no room: ρ = 4.
+        assert_eq!(cap / (4 * SAMPLE_RHO * levels(n, cap, SAMPLE_RHO)), 1_280);
+        assert_eq!(sample_rho(1_280, n, cap), SAMPLE_RHO);
+        assert_eq!(sample_rho(5_000, n, cap), SAMPLE_RHO);
+        for f in [2usize, 3, 8, 60, 640, 1_280] {
+            let rho = sample_rho(f, n, cap);
+            assert!(rho.is_power_of_two() && rho >= SAMPLE_RHO);
+            // The guarantee holds at ρ and fails at 2ρ.
+            assert!(f <= cap / (4 * rho * levels(n, cap, rho)), "f = {f}");
+            assert!(f > cap / (8 * rho * levels(n, cap, 2 * rho)), "f = {f}");
+        }
+    }
+
+    #[test]
+    fn sampling_at_perf_geometry_costs_what_the_fanout_needs() {
+        // M = 65,536 and B = 1,024 records, N = 1,000,000: 977 blocks.
+        let c = EmContext::new_in_memory_strict(EmConfig::new(65_536, 1_024).unwrap());
+        let file = c
+            .stats()
+            .paused(|| EmFile::from_slice(&c, &shuffled(1_000_000)))
+            .unwrap();
+        let ios = |f: usize| {
+            let before = c.stats().snapshot();
+            let sp = sample_splitters(&file, f, SplitterStrategy::Deterministic).unwrap();
+            let ios = c.stats().snapshot().since(&before).total_ios();
+            check_buckets(&file, &sp, f, 2.0);
+            ios
+        };
+        // f = 60, one level at ρ = 256: read 977 blocks, write and read
+        // back a 3,906-record sample (4 blocks each way). Thinning by
+        // ρ = 4 over three levels cost 1,623.
+        assert_eq!(ios(60), 985);
+        // At the maximum fan-out ρ stays 4: the three-level cost.
+        assert_eq!(max_deterministic_fanout(&file), 1_280);
+        assert_eq!(ios(1_280), 1_623);
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! is adopted into the low [`Partition`] (O(1), no I/O), every bucket
 //! right of it into the high one, and only the single boundary bucket
 //! recurses — so the total cost telescopes to `O(n/B)` with roughly one
-//! sample pass plus one distribution pass.
+//! sample pass plus one distribution pass. A boundary bucket that fits in
+//! memory is loaded a block at a time and cut with one in-place selection
+//! (`select_nth_unstable`), not a sort.
 
 use emcore::{EmContext, EmError, EmFile, Record, Result};
 
 use crate::distribute::{distribute_segs, max_distribution_fanout_now, three_way_split};
-use crate::partition_out::{segs_len, ChainReader, Partition};
+use crate::internal::select_rank_in_mem;
+use crate::partition_out::{load_segs, segs_len, ChainReader, Partition};
 use crate::sample_splitters::{
     max_deterministic_fanout_n, sample_splitters_segs, SplitterStrategy,
 };
@@ -66,14 +69,9 @@ fn split_rec<T: Record>(
 
     if n as usize <= mem_cap {
         // In-memory: select, then write the two sides exactly.
-        let mut buf = ctx.try_tracked_vec::<T>(n as usize, "rank-split base buffer")?;
-        let mut r = ChainReader::new(segs);
-        while let Some(x) = r.next()? {
-            buf.push(x);
-        }
+        let mut buf = load_segs(ctx, segs, "rank-split base buffer")?;
+        let boundary = select_rank_in_mem(&mut buf, count);
         let idx = (count - 1) as usize;
-        buf.sort_unstable_by_key(|a| a.key());
-        let boundary = buf[idx];
         let mut low = ctx.writer::<T>()?;
         low.push_all(&buf[..=idx])?;
         let mut high = ctx.writer::<T>()?;
@@ -125,12 +123,14 @@ fn split_rec<T: Record>(
                 // Cut aligns with the bucket's right edge: the boundary is
                 // the bucket's max record (one scan of this bucket only).
                 let mut mx: Option<T> = None;
-                let mut r = bucket.reader()?;
-                while let Some(x) = r.next()? {
-                    if mx.is_none_or(|m| x.key() >= m.key()) {
-                        mx = Some(x);
+                ChainReader::new(std::slice::from_ref(&bucket)).for_each_slice(|chunk| {
+                    for &x in chunk {
+                        if mx.is_none_or(|m| x.key() >= m.key()) {
+                            mx = Some(x);
+                        }
                     }
-                }
+                    Ok(())
+                })?;
                 boundary = mx;
                 low.push_segment(bucket);
             } else {
