@@ -47,8 +47,9 @@ pub(crate) struct CtxInner {
     pub(crate) fault_plan: Mutex<Option<FaultPlan>>,
     pub(crate) retry_policy: Mutex<RetryPolicy>,
     pub(crate) backoff_ticks: AtomicU64,
-    /// Committed journal documents on the memory backend (the directory
-    /// backend stores them as `<name>.journal` files instead).
+    /// Committed journal documents (keyed by journal name) and journal logs
+    /// (keyed `<name>.<generation>.log`) on the memory backend; the
+    /// directory backend stores both as files instead.
     journals: Mutex<HashMap<String, String>>,
     /// Live metrics. Disabled by default — mirroring the tracer, a
     /// disabled registry costs one branch per record site and a run is
@@ -458,6 +459,17 @@ impl EmContext {
 
     pub(crate) fn journal_remove(&self, name: &str) {
         lock_ok(&self.inner.journals).remove(name);
+    }
+
+    pub(crate) fn journal_append(&self, name: &str, text: &str) {
+        lock_ok(&self.inner.journals)
+            .entry(name.into())
+            .or_default()
+            .push_str(text);
+    }
+
+    pub(crate) fn journal_retain(&self, keep: impl FnMut(&String, &mut String) -> bool) {
+        lock_ok(&self.inner.journals).retain(keep);
     }
 
     /// Install a [`FaultPlan`]: every subsequent block transfer on this

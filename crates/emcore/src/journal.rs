@@ -6,6 +6,14 @@
 //! process or, on the directory backend, from a *different* process that
 //! reopens the backing directory.
 //!
+//! A journal may also keep a **log**: checksummed records appended after
+//! the document, so a state that changes a little at a time is journaled
+//! as deltas instead of being rewritten whole. The document is then a
+//! *snapshot*; its state carries a *generation* number, and the log of
+//! that generation holds every change since. Which records are deltas and
+//! when to fold them into a fresh snapshot belongs to the caller (the
+//! serving layer's splitter index is the one user).
+//!
 //! ## Durability contract
 //!
 //! * **Atomic commit** — on the directory backend a commit writes the whole
@@ -20,16 +28,32 @@
 //!   a journal of another kind or state version is refused at load with
 //!   "written by an older format; rebuild the store / restart the job"
 //!   rather than misparsed.
+//! * **Appends** — [`Journal::append`] adds one length-framed, checksummed
+//!   record to `<name>.<generation>.log` and makes it durable with one
+//!   `sync_data`: no temp file, no rename, no directory fsync. An append
+//!   that returned is durable; one that did not may leave a torn record at
+//!   the tail, which [`Journal::read_log`] drops (that append was never
+//!   acknowledged) and cuts off, so a later record never sits behind a
+//!   torn one.
+//! * **Generations** — [`Journal::commit_generation`] starts generation
+//!   `g`: it creates `g`'s log empty *before* committing the snapshot, so
+//!   the commit's directory fsync covers the log's entry too and a stale
+//!   log of that generation can never be replayed behind the new snapshot.
+//!   It then unlinks the previous generation's log. Retiring a log is an
+//!   unlink and adds no fsync: a log that survives a crash between the
+//!   snapshot and the unlink belongs to an older generation, is never
+//!   replayed, and is removed by the next [`Journal::read_log`].
 //!
-//! On the memory backend, committed documents live in the context itself
-//! (there is no directory to survive a real process exit); in-process
+//! On the memory backend, committed documents and logs live in the context
+//! itself (there is no directory to survive a real process exit); in-process
 //! crash/resume works identically on both backends.
 //!
-//! Journal commits are host-side metadata writes, deliberately outside the
-//! block-I/O model: they charge [`crate::Counters::journal_writes`], not
-//! `reads`/`writes`. They are also not subject to the fault plan — the
-//! commit protocol itself is the defence (rename atomicity + checksum),
-//! and the fault layer models the *data* device, not the metadata store.
+//! Journal commits and appends are host-side metadata writes, deliberately
+//! outside the block-I/O model: each charges one
+//! [`crate::Counters::journal_writes`], not `reads`/`writes`. They are also
+//! not subject to the fault plan — the commit protocol itself is the
+//! defence (rename atomicity + checksum), and the fault layer models the
+//! *data* device, not the metadata store.
 //!
 //! ## Document format
 //!
@@ -43,6 +67,13 @@
 //! are reachable only through journals, so a `v1` document is refused at
 //! load with an explicit "rebuild the store" error rather than reported as
 //! torn.
+//!
+//! A log is a sequence of records, each framed the same way:
+//!
+//! ```text
+//! emlog <body-bytes> <checksum-hex>\n
+//! <body…>
+//! ```
 //!
 //! The body encoding belongs to the [`JournalState`] implementor; the
 //! convention in this workspace is line-oriented `key value…` text. The
@@ -60,6 +91,8 @@ const MAGIC: &str = "emjournal";
 /// Format version of the envelope (the *state* carries its own version on
 /// top of this).
 const FORMAT: &str = "v2";
+/// Magic of a log record's header line.
+const LOG_MAGIC: &str = "emlog";
 
 /// State that can be persisted in a [`Journal`].
 ///
@@ -131,6 +164,20 @@ impl Journal {
             .map(|d| d.join(format!("{}.journal.tmp", self.name)))
     }
 
+    /// File name of generation `generation`'s log (also its key on the
+    /// memory backend).
+    fn log_name(&self, generation: u64) -> String {
+        format!("{}.{generation}.log", self.name)
+    }
+
+    /// Path of generation `generation`'s log on the directory backend
+    /// (`None` in memory).
+    pub fn log_path(&self, generation: u64) -> Option<PathBuf> {
+        self.ctx
+            .backing_dir()
+            .map(|d| d.join(self.log_name(generation)))
+    }
+
     /// Whether a committed document exists.
     pub fn exists(&self) -> bool {
         match self.path() {
@@ -144,16 +191,40 @@ impl Journal {
     pub fn commit<S: JournalState>(&self, state: &S) -> Result<()> {
         let mut body = String::new();
         state.encode(&mut body);
-        self.commit_body(S::KIND, S::VERSION, &body)
+        self.commit_body(S::KIND, S::VERSION, &body).map(drop)
     }
 
-    /// [`Journal::commit`] for a body already encoded under `kind`/`version`.
-    pub(crate) fn commit_body(&self, kind: &str, version: u32, body: &str) -> Result<()> {
+    /// Commit `state` as the snapshot of generation `generation`, whose
+    /// state must record that number and which must be newer than every
+    /// generation committed before: create the generation's log empty,
+    /// commit, then unlink the previous generation's log. Returns the
+    /// committed document's size in bytes. Charges one
+    /// [`crate::Counters::journal_writes`].
+    pub fn commit_generation<S: JournalState>(&self, state: &S, generation: u64) -> Result<u64> {
+        match self.log_path(generation) {
+            Some(path) => drop(std::fs::File::create(path)?),
+            None => self
+                .ctx
+                .journal_put(&self.log_name(generation), String::new()),
+        }
+        let mut body = String::new();
+        state.encode(&mut body);
+        let bytes = self.commit_body(S::KIND, S::VERSION, &body)?;
+        if let Some(prev) = generation.checked_sub(1) {
+            self.retire_log(prev)?;
+        }
+        Ok(bytes)
+    }
+
+    /// [`Journal::commit`] for a body already encoded under `kind`/`version`;
+    /// returns the document's size in bytes.
+    pub(crate) fn commit_body(&self, kind: &str, version: u32, body: &str) -> Result<u64> {
         let doc = format!(
             "{MAGIC} {FORMAT} {kind} {version} {} {:016x}\n{body}",
             body.len(),
             block_checksum(body.as_bytes()),
         );
+        let bytes = doc.len() as u64;
         match (self.path(), self.tmp_path()) {
             (Some(path), Some(tmp)) => {
                 {
@@ -173,6 +244,12 @@ impl Journal {
             }
             _ => self.ctx.journal_put(&self.name, doc),
         }
+        self.record_write();
+        Ok(bytes)
+    }
+
+    /// Charge one journal write and trace it.
+    fn record_write(&self) {
         self.ctx.stats().record_journal_write();
         let tracer = self.ctx.tracer();
         if tracer.is_enabled() {
@@ -180,7 +257,103 @@ impl Journal {
                 name: self.name.clone(),
             });
         }
-        Ok(())
+    }
+
+    /// Append `record` to generation `generation`'s log and make it
+    /// durable (one `sync_data`, no rename, no directory fsync: the log's
+    /// directory entry was made durable by
+    /// [`Journal::commit_generation`]). Returns the bytes appended,
+    /// framing included. Charges one [`crate::Counters::journal_writes`].
+    ///
+    /// A failed append may leave part of its record behind; the next
+    /// [`Journal::read_log`] drops it. Until then the caller must not
+    /// append to the same log again — it should start a new generation
+    /// with [`Journal::commit_generation`].
+    pub fn append(&self, generation: u64, record: &str) -> Result<u64> {
+        let framed = format!(
+            "{LOG_MAGIC} {} {:016x}\n{record}",
+            record.len(),
+            block_checksum(record.as_bytes()),
+        );
+        match self.log_path(generation) {
+            Some(path) => {
+                use std::io::Write;
+                let mut f = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)?;
+                f.write_all(framed.as_bytes())?;
+                f.sync_data()?;
+            }
+            None => self.ctx.journal_append(&self.log_name(generation), &framed),
+        }
+        self.record_write();
+        Ok(framed.len() as u64)
+    }
+
+    /// The valid records of generation `generation`'s log, oldest first,
+    /// and the log's length in bytes. Records end at the first torn or
+    /// failed-checksum one, and the log is cut back to that point so the
+    /// next append follows the last valid record. Also removes the
+    /// previous generation's log, which a crash between a snapshot and its
+    /// predecessor's unlink can leave behind. A missing log is empty.
+    pub fn read_log(&self, generation: u64) -> Result<(Vec<String>, u64)> {
+        let name = self.log_name(generation);
+        let bytes = match self.log_path(generation) {
+            Some(p) => match std::fs::read(&p) {
+                Ok(b) => b,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+                Err(e) => return Err(e.into()),
+            },
+            None => self.ctx.journal_get(&name).unwrap_or_default().into_bytes(),
+        };
+        let (records, valid) = parse_log(&bytes);
+        if valid < bytes.len() {
+            match self.log_path(generation) {
+                Some(p) => std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(p)?
+                    .set_len(valid as u64)?,
+                None => {
+                    let kept = String::from_utf8_lossy(&bytes[..valid]).into_owned();
+                    self.ctx.journal_put(&name, kept);
+                }
+            }
+        }
+        if let Some(prev) = generation.checked_sub(1) {
+            self.retire_log(prev)?;
+        }
+        Ok((records, valid as u64))
+    }
+
+    /// Remove generation `generation`'s log, if any (an unlink; no fsync).
+    fn retire_log(&self, generation: u64) -> Result<()> {
+        match self.log_path(generation) {
+            Some(p) => match std::fs::remove_file(p) {
+                Ok(()) => Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+                Err(e) => Err(e.into()),
+            },
+            None => {
+                self.ctx.journal_remove(&self.log_name(generation));
+                Ok(())
+            }
+        }
+    }
+
+    /// Size in bytes of the committed document (0 when none exists).
+    pub fn document_len(&self) -> Result<u64> {
+        match self.path() {
+            Some(p) => match std::fs::metadata(p) {
+                Ok(m) => Ok(m.len()),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
+                Err(e) => Err(e.into()),
+            },
+            None => Ok(self
+                .ctx
+                .journal_get(&self.name)
+                .map_or(0, |d| d.len() as u64)),
+        }
     }
 
     /// Load and verify the committed document. `Ok(None)` when no document
@@ -252,10 +425,18 @@ impl Journal {
         ))
     }
 
-    /// Remove the committed document (idempotent).
+    /// Whether `file` names one of this journal's logs.
+    fn is_log_name(&self, file: &str) -> bool {
+        file.strip_suffix(".log")
+            .and_then(|stem| stem.strip_prefix(self.name.as_str()))
+            .and_then(|rest| rest.strip_prefix('.'))
+            .is_some_and(|g| !g.is_empty() && g.bytes().all(|b| b.is_ascii_digit()))
+    }
+
+    /// Remove the committed document and every log (idempotent).
     pub fn remove(&self) -> Result<()> {
-        match self.path() {
-            Some(p) => {
+        match (self.path(), self.ctx.backing_dir()) {
+            (Some(p), Some(dir)) => {
                 match std::fs::remove_file(&p) {
                     Ok(()) => {}
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -264,18 +445,69 @@ impl Journal {
                 if let Some(tmp) = self.tmp_path() {
                     let _ = std::fs::remove_file(tmp);
                 }
+                for entry in std::fs::read_dir(dir)? {
+                    let entry = entry?;
+                    if self.is_log_name(&entry.file_name().to_string_lossy()) {
+                        std::fs::remove_file(entry.path())?;
+                    }
+                }
             }
-            None => self.ctx.journal_remove(&self.name),
+            _ => {
+                self.ctx.journal_remove(&self.name);
+                self.ctx.journal_retain(|key, _| !self.is_log_name(key));
+            }
         }
         Ok(())
     }
 }
 
+/// Split a log into its valid records: returns them, oldest first, with
+/// the byte length of the prefix they fill. Parsing stops at the first
+/// record whose header, length or checksum does not hold.
+fn parse_log(bytes: &[u8]) -> (Vec<String>, usize) {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    while let Some(nl) = bytes[at..].iter().position(|&b| b == b'\n') {
+        let Some((len, sum)) = std::str::from_utf8(&bytes[at..at + nl])
+            .ok()
+            .and_then(parse_log_header)
+        else {
+            break;
+        };
+        let start = at + nl + 1;
+        let Some(body) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
+            break;
+        };
+        if block_checksum(body) != sum {
+            break;
+        }
+        let Ok(body) = std::str::from_utf8(body) else {
+            break;
+        };
+        records.push(body.to_string());
+        at = start + len;
+    }
+    (records, at)
+}
+
+/// `(body bytes, checksum)` of an `emlog` header line.
+fn parse_log_header(line: &str) -> Option<(usize, u64)> {
+    let mut it = line.split(' ');
+    if it.next()? != LOG_MAGIC {
+        return None;
+    }
+    let len = it.next()?.parse().ok()?;
+    let sum = u64::from_str_radix(it.next()?, 16).ok()?;
+    it.next().is_none().then_some((len, sum))
+}
+
 /// Hex-encode bytes (journal bodies are text; record payloads embed as hex).
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(DIGITS[usize::from(b >> 4)] as char);
+        s.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     s
 }
@@ -467,5 +699,140 @@ mod tests {
         assert_eq!(from_hex(&h).unwrap(), bytes);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+    }
+
+    #[test]
+    fn hex_encodes_every_byte_value_as_before() {
+        let all: Vec<u8> = (0..=255).collect();
+        let h = to_hex(&all);
+        let want: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(h, want);
+        assert_eq!(from_hex(&h).unwrap(), all);
+        for b in all {
+            assert_eq!(from_hex(&to_hex(&[b])).unwrap(), vec![b]);
+        }
+    }
+
+    /// A snapshot at generation `phase` with one appended record per item.
+    fn snapshot_and_log(j: &Journal, generation: u64, records: &[&str]) -> Vec<u64> {
+        let snap = Demo {
+            phase: generation,
+            items: vec![],
+        };
+        j.commit_generation(&snap, generation).unwrap();
+        records
+            .iter()
+            .map(|r| j.append(generation, r).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn log_records_roundtrip_on_the_memory_backend() {
+        let ctx = EmContext::new_in_memory(EmConfig::tiny());
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        assert_eq!(j.read_log(1).unwrap(), (vec![], 0));
+        let lens = snapshot_and_log(&j, 1, &["first\n", "", "third line\nwith two\n"]);
+        assert_eq!(j.load::<Demo>().unwrap().unwrap().phase, 1);
+        let (records, bytes) = j.read_log(1).unwrap();
+        assert_eq!(records, vec!["first\n", "", "third line\nwith two\n"]);
+        assert_eq!(bytes, lens.iter().sum::<u64>());
+        // One snapshot plus three appends, none of them block I/O.
+        assert_eq!(ctx.stats().snapshot().journal_writes, 4);
+        assert_eq!(ctx.stats().snapshot().total_ios(), 0);
+        // A new generation starts an empty log and retires the old one.
+        snapshot_and_log(&j, 2, &["next"]);
+        assert_eq!(j.read_log(2).unwrap().0, vec!["next"]);
+        assert_eq!(j.read_log(1).unwrap().0, Vec::<String>::new());
+        j.remove().unwrap();
+        assert!(!j.exists());
+        assert_eq!(j.read_log(2).unwrap(), (vec![], 0));
+    }
+
+    #[test]
+    fn log_cut_anywhere_in_its_last_record_replays_the_records_before_it() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        let lens = snapshot_and_log(
+            &j,
+            3,
+            &["seg 1 2\n", "mark 7 ab\n", "seg 9 10\nbound 4 cd\n"],
+        );
+        let path = j.log_path(3).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        let before_last = (lens[0] + lens[1]) as usize;
+        assert_eq!(full.len() as u64, lens.iter().sum::<u64>());
+        for cut in before_last..full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            let (records, bytes) = j.read_log(3).unwrap();
+            assert_eq!(records, vec!["seg 1 2\n", "mark 7 ab\n"], "cut at {cut}");
+            assert_eq!(bytes as usize, before_last);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len() as usize,
+                before_last
+            );
+        }
+        // A flipped byte in the last record fails its checksum the same way.
+        let mut flipped = full.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
+        assert_eq!(j.read_log(3).unwrap().0.len(), 2);
+        std::fs::write(&path, &full).unwrap();
+        assert_eq!(j.read_log(3).unwrap().0.len(), 3);
+    }
+
+    #[test]
+    fn torn_tail_is_cut_back_before_the_next_append() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        let lens = snapshot_and_log(&j, 1, &["one", "two, torn"]);
+        let path = j.log_path(1).unwrap();
+        let torn = lens[0] + lens[1] / 2;
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(torn)
+            .unwrap();
+        assert_eq!(j.read_log(1).unwrap().0, vec!["one"]);
+        j.append(1, "three").unwrap();
+        assert_eq!(j.read_log(1).unwrap().0, vec!["one", "three"]);
+    }
+
+    #[test]
+    fn records_of_another_generation_are_never_replayed() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        snapshot_and_log(&j, 1, &["old delta"]);
+        let old_log = std::fs::read(j.log_path(1).unwrap()).unwrap();
+        // A stale log already sitting under the next generation's name (a
+        // crash part-way through a removal, say) is emptied by the commit.
+        std::fs::write(j.log_path(2).unwrap(), &old_log).unwrap();
+        snapshot_and_log(&j, 2, &[]);
+        assert!(!j.log_path(1).unwrap().exists(), "old log retired");
+        // A crash between the new snapshot and retiring the old log leaves
+        // the old log behind.
+        std::fs::write(j.log_path(1).unwrap(), &old_log).unwrap();
+        let snap = j.load::<Demo>().unwrap().unwrap();
+        assert_eq!(snap.phase, 2);
+        assert_eq!(j.read_log(snap.phase).unwrap(), (vec![], 0));
+        assert!(!j.log_path(1).unwrap().exists(), "read_log removes it");
+    }
+
+    #[test]
+    fn gc_keeps_logs_and_remove_deletes_only_its_own() {
+        let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
+        let j = Journal::new(&ctx, "demo-state").unwrap();
+        let other = Journal::new(&ctx, "demo-state-b").unwrap();
+        snapshot_and_log(&j, 4, &["a"]);
+        snapshot_and_log(&other, 1, &["b"]);
+        std::fs::write(j.log_path(9).unwrap(), b"stale").unwrap();
+        ctx.gc_orphans(&[]).unwrap();
+        assert!(j.log_path(4).unwrap().exists(), "gc must not sweep logs");
+        j.remove().unwrap();
+        assert!(!j.exists());
+        assert!(!j.log_path(4).unwrap().exists());
+        assert!(!j.log_path(9).unwrap().exists());
+        assert!(other.exists());
+        assert_eq!(other.read_log(1).unwrap().0, vec!["b"]);
     }
 }

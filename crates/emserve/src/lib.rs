@@ -15,9 +15,11 @@
 //!   reopenable across process restarts (directory backend).
 //! * [`SplitterIndex`] — the per-dataset pivot skeleton: ordered rank
 //!   windows with known boundary elements, refined by every answered
-//!   batch and committed to its own journal. Boundary hits are answered
-//!   from memory at zero I/O; misses select only inside the narrowest
-//!   known segment.
+//!   batch and journaled as a snapshot plus a log of per-batch deltas.
+//!   Windows spanning two or more blocks are cut at new answers; a window
+//!   held in one block keeps them as marks instead. Boundary and mark
+//!   hits are answered from memory at zero I/O; misses select only inside
+//!   the narrowest known segment.
 //! * [`QueryServer`] / [`Client`] — a scheduler thread that coalesces
 //!   concurrent in-flight queries per dataset under a batching window
 //!   (bounded request queue = admission control) and answers each batch

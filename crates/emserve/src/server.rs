@@ -330,7 +330,8 @@ pub struct ServeReport {
     /// Batches executed (each ≥ 1 query; the coalescing win is
     /// `queries / batches`).
     pub batches: u64,
-    /// Ranks answered from a stored splitter-index boundary at zero I/O.
+    /// Ranks answered from a stored splitter-index boundary or mark at
+    /// zero I/O.
     pub index_hits: u64,
     /// Distinct ranks answered by an in-segment select pass.
     pub selected: u64,
