@@ -263,13 +263,13 @@ impl Default for EmConfigBuilder {
 }
 
 impl EmConfigBuilder {
-    /// Memory capacity `M` in records (default 4096).
+    /// Memory capacity `M` in words (default 4096).
     pub fn mem(mut self, m: usize) -> Self {
         self.mem = m;
         self
     }
 
-    /// Block size `B` in records (default 64).
+    /// Block size `B` in words (default 64).
     pub fn block(mut self, b: usize) -> Self {
         self.block = b;
         self

@@ -60,7 +60,7 @@ pub struct TraceReport {
     pub files: Vec<(u64, FileAccess)>,
     /// All point events, in order, with their owning span id.
     pub points: Vec<(u64, PointKind)>,
-    /// Machine geometry from the begin event: `(M, B)` in records.
+    /// Machine geometry from the begin event: `(M, B)` in words.
     pub machine: Option<(u64, u64)>,
     /// Final `(live, peak)` disk-blocks gauge from the end event.
     pub blocks: Option<(u64, u64)>,

@@ -112,9 +112,9 @@ pub enum TraceEvent {
     Begin {
         /// Microseconds since the trace epoch (always 0 in practice).
         t_us: u64,
-        /// Memory capacity `M` in records.
+        /// Memory capacity `M` in words.
         mem: u64,
-        /// Block size `B` in records.
+        /// Block size `B` in words.
         block: u64,
     },
     /// A span (named phase) opened.
