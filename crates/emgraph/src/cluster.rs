@@ -922,16 +922,17 @@ mod tests {
         // Same graph, same round — once with a grant covering the whole
         // label array, once with a strict budget so small the round must
         // run multi-window. Digest-identical labels either way. The
-        // second input adds a hub joined to every vertex: its degree
-        // exceeds the small M, so its labels overflow the mode scratch
-        // (cutting runs) and the runs need a reduce pass before the
-        // streamed merge fits the strict budget.
+        // second input adds a hub joined to 800 vertices (400 of them new
+        // leaves): its degree exceeds the small M, so its labels overflow
+        // the mode scratch in every window, cutting more runs than one
+        // streamed merge fits next to the strict budget's reserve, and
+        // the runs need a reduce pass first.
         let mut rng = emcore::SplitMix64::new(17);
         let pairs: Vec<(u64, u64)> = (0..3000)
             .map(|_| (rng.below(400), rng.below(400)))
             .collect();
         let mut with_hub = pairs.clone();
-        with_hub.extend((0..400).map(|v| (400, v)));
+        with_hub.extend((0..800).map(|v| (800, v)));
 
         for (input, hub) in [(&pairs, false), (&with_hub, true)] {
             let big = EmContext::new_in_memory(EmConfig::new(1 << 16, 64).unwrap());

@@ -71,6 +71,7 @@ use emcore::{
 };
 
 use crate::merge::{max_merge_fan_in, merge_once};
+use crate::runs::working_capacity;
 
 /// Name of the sort's checkpoint journal within its backing store.
 pub const SORT_JOURNAL: &str = "sort-manifest";
@@ -227,9 +228,11 @@ fn form_remaining_runs<T: Record>(
         // and a unit interrupted by MemoryExceeded is redone whole on
         // resume (bounded rework: at most one unit).
         let mut w = ctx.writer::<T>()?;
-        let want = ctx.mem_records::<T>().saturating_sub(2 * b).max(b);
-        let (mut load, cap) =
-            ctx.try_tracked_vec_halving::<T>(want, b, "recoverable run formation load buffer")?;
+        let (mut load, cap) = ctx.try_tracked_vec_halving::<T>(
+            working_capacity::<T>(ctx),
+            b,
+            "recoverable run formation load buffer",
+        )?;
         let unit = manifest
             .ledger
             .begin_unit(ctx, |cp| format!("unit/run#{cp}"));

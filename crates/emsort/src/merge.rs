@@ -13,7 +13,9 @@ use crate::loser_tree::LoserTree;
 
 /// Largest merge fan-in that fits the memory budget for record type `T`:
 /// `k` reader block buffers + one writer block buffer + `O(k)` loser-tree
-/// state must total at most `M` words.
+/// state must total at most `M` words. A block buffer holds `B` words
+/// whatever the record width, so this is `⌊(M − B)/(B + T::WORDS + 2)⌋`
+/// (at least 2).
 pub fn max_merge_fan_in<T: Record>(config: EmConfig) -> usize {
     max_fan_in_for_budget::<T>(config, config.mem_capacity())
 }
@@ -35,9 +37,9 @@ fn group_fan_in<T: Record>(ctx: &EmContext, fan_in: usize, reserve: usize) -> us
 }
 
 fn max_fan_in_for_budget<T: Record>(config: EmConfig, budget: usize) -> usize {
-    let block_words = config.block_size() * T::WORDS;
+    let block_words = config.block_size();
     let per_stream = block_words + T::WORDS + 2; // reader buffer + tree slot
-    ((budget.saturating_sub(block_words)) / per_stream).max(2)
+    (budget.saturating_sub(block_words) / per_stream).max(2)
 }
 
 /// A `k`-way merge of sorted runs, pulled one record at a time. Holds one
@@ -237,7 +239,7 @@ fn merge_group_adaptive<T: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcore::EmConfig;
+    use emcore::{EmConfig, KeyValue};
 
     fn ctx() -> EmContext {
         EmContext::new_in_memory_strict(EmConfig::tiny()) // M=256, B=16, fan_in=14
@@ -289,6 +291,41 @@ mod tests {
         let a = run_of(&c, &[4, 2, 9]);
         let m = merge_runs(&c, vec![a]).unwrap();
         assert_eq!(m.to_vec().unwrap(), vec![2, 4, 9]);
+    }
+
+    #[test]
+    fn two_word_merges_take_the_fan_in_m_admits() {
+        // M = 256, B = 16 words. A `KeyValue` block holds 8 records, which
+        // is still 16 words, so (256 − 16) / (16 + 2 + 2) = 12 runs fit one
+        // merge: 12 reader blocks, a writer block and 12 × 4 words of tree
+        // state are exactly M.
+        let cfg = EmConfig::tiny();
+        assert_eq!(max_merge_fan_in::<KeyValue>(cfg), 12);
+        for (k, one_pass) in [(12u64, true), (13, false)] {
+            let c = ctx();
+            let runs: Vec<EmFile<KeyValue>> = (0..k)
+                .map(|i| {
+                    let recs: Vec<KeyValue> = (0..20)
+                        .map(|j| KeyValue {
+                            key: j * k + i,
+                            value: i,
+                        })
+                        .collect();
+                    EmFile::from_slice(&c, &recs).unwrap()
+                })
+                .collect();
+            let in_blocks: u64 = runs.iter().map(|r| r.num_blocks()).sum();
+            c.mem().reset_peak();
+            let before = c.stats().snapshot();
+            let m = merge_runs(&c, runs).unwrap();
+            let d = c.stats().snapshot().since(&before);
+            assert!(c.mem().peak() <= cfg.mem_capacity(), "k = {k}");
+            let keys: Vec<u64> = m.to_vec().unwrap().iter().map(|r| r.key).collect();
+            assert_eq!(keys, (0..20 * k).collect::<Vec<_>>(), "k = {k}");
+            // One pass reads each input block once; a second pass also
+            // reads the first pass's output.
+            assert_eq!(d.reads == in_blocks, one_pass, "k = {k}: {} reads", d.reads);
+        }
     }
 
     #[test]

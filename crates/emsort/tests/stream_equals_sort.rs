@@ -57,8 +57,8 @@ fn gen_case<T: Record>(rng: &mut SplitMix64) -> Case {
     let m = [256, 512, 1024][rng.below(3) as usize];
     let b = [16, 32][rng.below(2) as usize];
     // One load buffer of `T`: the budget less the reader and writer
-    // blocks, as run formation sizes it.
-    let load = m / T::WORDS - 2 * b;
+    // blocks (`b` words each), as run formation sizes it.
+    let load = (m - 2 * b) / T::WORDS;
     let cfg = EmConfig::new(m, b).unwrap();
     let one_merge = max_merge_fan_in::<T>(cfg).min(cfg.fan_in()) as u64;
     let n = match rng.below(6) {
