@@ -71,7 +71,7 @@ pub fn balanced_loads<T: Record>(input: &EmFile<T>, k: u64, slack: f64) -> Resul
     approx_partitioning(input, &spec)
 }
 
-/// The `k` largest records of `input` as a [`Partition`] (unordered
+/// The `k` largest records of `input` as a [`emselect::Partition`] (unordered
 /// within), in `O(N/B)` I/Os via one exact rank split.
 pub fn top_k<T: Record>(input: &EmFile<T>, k: u64) -> Result<emselect::Partition<T>> {
     let n = input.len();
@@ -91,7 +91,7 @@ pub fn top_k<T: Record>(input: &EmFile<T>, k: u64) -> Result<emselect::Partition
     Ok(high)
 }
 
-/// The `k` smallest records of `input` as a [`Partition`], in `O(N/B)`.
+/// The `k` smallest records of `input` as a [`emselect::Partition`], in `O(N/B)`.
 pub fn bottom_k<T: Record>(input: &EmFile<T>, k: u64) -> Result<emselect::Partition<T>> {
     let n = input.len();
     if k > n {

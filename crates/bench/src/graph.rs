@@ -74,12 +74,9 @@ impl GraphKind {
 /// The EM configuration every graph cell runs on: the tiny geometry
 /// (`M = 256`, `B = 16`) keeps clustering multi-unit at campaign `N`.
 fn graph_config(workers: usize) -> EmConfig {
-    EmConfig::builder()
-        .mem(256)
-        .block(16)
-        .workers(workers)
-        .build()
+    EmConfig::new(256, 16)
         .expect("valid bench config")
+        .with_workers(workers)
 }
 
 pub(crate) fn cluster_opts() -> ClusterOptions {

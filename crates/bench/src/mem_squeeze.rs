@@ -161,7 +161,7 @@ fn squeeze_cell(algo: Algo, backend: Backend, n: u64, table: &mut Table, out: &m
     let mut ios_quarter = 0u64;
     for pct in [100usize, 75, 50, 25] {
         out.cells += 1;
-        ctx.set_mem_budget(full * pct / 100).expect("set budget");
+        ctx.set_mem_budget(full * pct / 100);
         let before = ctx.stats().snapshot();
         let t0 = Instant::now();
         let got = run_algo(algo, &ctx, &f, &ranks, &spec);
@@ -211,13 +211,13 @@ fn squeeze_cell(algo: Algo, backend: Backend, n: u64, table: &mut Table, out: &m
     // Mid-run ratchet: squeeze to 50% then 25%, restore to full, while
     // the algorithm is in flight.
     out.cells += 1;
-    ctx.set_mem_budget(full).expect("restore budget");
+    ctx.set_mem_budget(full);
     let squeezer = {
         let ctx = ctx.clone();
         std::thread::spawn(move || {
             for w in [full / 2, full / 4, full / 2, full] {
                 std::thread::sleep(Duration::from_millis(1));
-                let _ = ctx.set_mem_budget(w);
+                ctx.set_mem_budget(w);
             }
         })
     };
@@ -250,7 +250,7 @@ fn squeeze_cell(algo: Algo, backend: Backend, n: u64, table: &mut Table, out: &m
         }
     };
     row("ratchet", ios, ms, verdict, table);
-    ctx.set_mem_budget(full).expect("restore budget");
+    ctx.set_mem_budget(full);
 }
 
 /// Audit one serve ticket against the permutation oracle (rank `r` ↦ `r`).
@@ -289,15 +289,16 @@ fn serve_cell(n: u64, table: &mut Table, out: &mut SqueezeOutcome) {
     let full = config.mem_capacity();
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .degraded(true)
+        ServeOptions {
+            degraded: true,
             // Refinement keeps the skeleton warm: every exact batch adds
             // boundaries, which is what a starved tenant's degraded
             // answers are made of.
-            .refine(true)
-            .lease_floor(512)
-            .lease_weight(1)
-            .build(),
+            refine: true,
+            lease_floor: 512,
+            lease_weight: 1,
+            ..Default::default()
+        },
     )
     .expect("server start");
     let client = server.client().expect("server running");
@@ -348,7 +349,7 @@ fn serve_cell(n: u64, table: &mut Table, out: &mut SqueezeOutcome) {
 
     // Squeeze `M` to an eighth and let a rival pin all but a sliver —
     // less than one block stays free, so every exact pass is starved.
-    ctx.set_mem_budget(full / 8).expect("squeeze");
+    ctx.set_mem_budget(full / 8);
     let sliver = config.block_size() / 2;
     let rival = ctx
         .mem()
@@ -362,7 +363,7 @@ fn serve_cell(n: u64, table: &mut Table, out: &mut SqueezeOutcome) {
 
     // Lift the squeeze: exact service resumes on the same server.
     drop(rival);
-    ctx.set_mem_budget(full).expect("restore");
+    ctx.set_mem_budget(full);
     let (exact2, _) = wave(3, "restored", out, table);
     if exact2 != 12 {
         out.serve_failures += 1;

@@ -159,10 +159,11 @@ pub fn chaos_scrape_cell(n: u64) -> ObsOutcome {
     SplitMix64::new(SEED).shuffle(&mut data);
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .breaker_threshold(2)
-            .probe_cooldown(Duration::from_millis(5))
-            .build(),
+        ServeOptions {
+            breaker_threshold: 2,
+            probe_cooldown: Duration::from_millis(5),
+            ..Default::default()
+        },
     )
     .expect("server start");
     let client = server.client().expect("server running");
@@ -304,11 +305,12 @@ pub fn squeeze_scrape_cell(n: u64) -> ObsOutcome {
 
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .degraded(true)
-            .refine(true)
-            .lease_floor(512)
-            .build(),
+        ServeOptions {
+            degraded: true,
+            refine: true,
+            lease_floor: 512,
+            ..Default::default()
+        },
     )
     .expect("server start");
     let client = server.client().expect("server running");
@@ -328,7 +330,7 @@ pub fn squeeze_scrape_cell(n: u64) -> ObsOutcome {
 
     // Squeeze M to an eighth and let a rival pin all but half a block:
     // every exact pass is starved, so the wave must go degraded.
-    ctx.set_mem_budget(full / 8).expect("squeeze");
+    ctx.set_mem_budget(full / 8);
     let sliver = config.block_size() / 2;
     let rival = ctx
         .mem()
@@ -352,7 +354,7 @@ pub fn squeeze_scrape_cell(n: u64) -> ObsOutcome {
     };
 
     drop(rival);
-    ctx.set_mem_budget(full).expect("restore");
+    ctx.set_mem_budget(full);
     wave(3);
 
     let report = client.report().expect("final report");
@@ -395,8 +397,8 @@ pub fn warm_cold_cell(n: u64, device_latency_us: u64) -> ObsOutcome {
     let ctx = EmContext::new_on_disk_temp(config).expect("tempdir");
     ctx.metrics().set_enabled(true);
 
-    let mut server = QueryServer::<u64>::start(&ctx, ServeOptions::builder().refine(true).build())
-        .expect("server start");
+    let mut server =
+        QueryServer::<u64>::start(&ctx, ServeOptions::default()).expect("server start");
     let client = server.client().expect("server running");
     let mut data: Vec<u64> = (1..=n).collect();
     SplitMix64::new(SEED ^ 0xc01d).shuffle(&mut data);

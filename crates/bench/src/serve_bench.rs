@@ -35,7 +35,10 @@ fn run_server(
     batch: usize,
     refine: bool,
 ) -> (Vec<Vec<u64>>, u64, u64) {
-    let opts = ServeOptions::builder().refine(refine).build();
+    let opts = ServeOptions {
+        refine,
+        ..Default::default()
+    };
     let mut server = QueryServer::<u64>::start(ctx, opts).expect("server start");
     let client = server.client().expect("server running");
     client.register("ds", data.to_vec()).expect("register");
@@ -124,7 +127,7 @@ pub fn ex_serve(scale: Scale) -> Table {
 
     // --- index warmth: the same mix twice on one server, refinement on ---
     let ctx = bench_ctx();
-    let opts = ServeOptions::builder().refine(true).build();
+    let opts = ServeOptions::default();
     let mut server = QueryServer::<u64>::start(&ctx, opts).expect("server start");
     let client = server.client().expect("server running");
     client.register("ds", data.clone()).expect("register");

@@ -100,7 +100,7 @@ pub struct ChaosOutcome {
     pub approx: u64,
     /// Typed errors received (quarantined, unhealthy, or shed).
     pub errors: u64,
-    /// Tickets that failed to resolve within [`HANG_TIMEOUT`].
+    /// Tickets that failed to resolve within `HANG_TIMEOUT`.
     pub hung: u64,
     /// Exact answers that differed from the unfaulted oracle.
     pub mismatches: u64,
@@ -174,10 +174,11 @@ pub fn chaos_cell(schedule: Schedule, backend: Backend, overload: bool, n: u64) 
 
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .breaker_threshold(2)
-            .probe_cooldown(Duration::from_millis(5))
-            .build(),
+        ServeOptions {
+            breaker_threshold: 2,
+            probe_cooldown: Duration::from_millis(5),
+            ..Default::default()
+        },
     )
     .expect("server start");
     let client = server.client().expect("server running");

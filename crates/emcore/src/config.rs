@@ -18,6 +18,22 @@ use crate::error::{EmError, Result};
 /// Invariants enforced at construction:
 /// * `B >= 1`
 /// * `M >= 2 * B` (the model's minimum: at least two blocks fit in memory)
+///
+/// The geometry is validated by [`EmConfig::new`]; workers, the block
+/// cache and device latency are set with the `with_*` methods:
+///
+/// ```
+/// use emcore::EmConfig;
+///
+/// let cfg = EmConfig::new(65536, 1024)
+///     .unwrap()
+///     .with_workers(4)
+///     .with_cache_blocks(32);
+/// assert_eq!(cfg.blocks_in_mem(), 64);
+/// assert_eq!(cfg.workers(), 4);
+/// assert_eq!(cfg.cache_blocks(), 32);
+/// assert!(EmConfig::new(8, 16).is_err(), "M < 2B is rejected");
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmConfig {
     mem_capacity: usize,
@@ -29,15 +45,15 @@ pub struct EmConfig {
 
 impl EmConfig {
     /// Create a configuration with memory capacity `m` and block size `b`,
-    /// one worker, and the block cache disabled. Use [`EmConfig::builder`]
-    /// (or the `with_*` methods) to enable parallelism or caching.
+    /// one worker, and the block cache disabled. Use the `with_*` methods
+    /// to enable parallelism or caching.
     ///
     /// The `EM_TEST_WORKERS` environment variable, when set to an integer
     /// ≥ 1, overrides the *default* worker count. This is a CI hook: the
     /// parallel sort is I/O-identical to the sequential one, so the whole
     /// test suite is run twice — at `workers = 1` and `workers = 4` — and
-    /// must pass unchanged. Explicit [`EmConfig::with_workers`] or
-    /// [`EmConfigBuilder::workers`] settings always win over the variable.
+    /// must pass unchanged. An explicit [`EmConfig::with_workers`] always
+    /// wins over the variable.
     ///
     /// # Errors
     ///
@@ -64,12 +80,6 @@ impl EmConfig {
             cache_blocks: 0,
             device_latency_us: 0,
         })
-    }
-
-    /// Start a fluent [`EmConfigBuilder`] with the default geometry
-    /// (`M = 4096`, `B = 64`, one worker, cache disabled).
-    pub fn builder() -> EmConfigBuilder {
-        EmConfigBuilder::default()
     }
 
     /// This configuration with `workers` worker threads (clamped to ≥ 1).
@@ -225,91 +235,6 @@ impl std::fmt::Display for EmConfig {
     }
 }
 
-/// Fluent builder for [`EmConfig`]; obtained from [`EmConfig::builder`].
-///
-/// ```
-/// use emcore::EmConfig;
-///
-/// let cfg = EmConfig::builder()
-///     .mem(65536)
-///     .block(1024)
-///     .workers(4)
-///     .cache_blocks(32)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.blocks_in_mem(), 64);
-/// assert_eq!(cfg.workers(), 4);
-/// assert_eq!(cfg.cache_blocks(), 32);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct EmConfigBuilder {
-    mem: usize,
-    block: usize,
-    workers: usize,
-    cache_blocks: usize,
-    device_latency_us: u64,
-}
-
-impl Default for EmConfigBuilder {
-    fn default() -> Self {
-        Self {
-            mem: 4096,
-            block: 64,
-            workers: 1,
-            cache_blocks: 0,
-            device_latency_us: 0,
-        }
-    }
-}
-
-impl EmConfigBuilder {
-    /// Memory capacity `M` in words (default 4096).
-    pub fn mem(mut self, m: usize) -> Self {
-        self.mem = m;
-        self
-    }
-
-    /// Block size `B` in words (default 64).
-    pub fn block(mut self, b: usize) -> Self {
-        self.block = b;
-        self
-    }
-
-    /// Worker threads for parallel algorithms (default 1; clamped to ≥ 1 at
-    /// build).
-    pub fn workers(mut self, w: usize) -> Self {
-        self.workers = w;
-        self
-    }
-
-    /// Buffer-pool block-cache capacity in blocks (default 0 = disabled).
-    pub fn cache_blocks(mut self, c: usize) -> Self {
-        self.cache_blocks = c;
-        self
-    }
-
-    /// Simulated device latency per physical disk transfer in microseconds
-    /// (default 0 = page-cache speed); see
-    /// [`EmConfig::with_device_latency_us`].
-    pub fn device_latency_us(mut self, us: u64) -> Self {
-        self.device_latency_us = us;
-        self
-    }
-
-    /// Validate and build the [`EmConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EmError::Config`] under the same geometry rules as
-    /// [`EmConfig::new`].
-    pub fn build(self) -> Result<EmConfig> {
-        Ok(EmConfig::new(self.mem, self.block)?
-            .with_workers(self.workers)
-            .with_cache_blocks(self.cache_blocks)
-            .with_device_latency_us(self.device_latency_us))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,23 +318,24 @@ mod tests {
 
     #[test]
     fn builder_round_trips() {
-        let c = EmConfig::builder()
-            .mem(256)
-            .block(16)
-            .workers(3)
-            .cache_blocks(5)
-            .build()
-            .unwrap();
+        // `EmConfig::new` validates the geometry and the `with_*` setters
+        // fill in the rest: what they set is what the getters return.
+        let c = EmConfig::new(256, 16)
+            .unwrap()
+            .with_workers(3)
+            .with_cache_blocks(5)
+            .with_device_latency_us(7);
         assert_eq!(c.mem_capacity(), 256);
         assert_eq!(c.block_size(), 16);
         assert_eq!(c.workers(), 3);
         assert_eq!(c.cache_blocks(), 5);
+        assert_eq!(c.device_latency_us(), 7);
         // Geometry validation still applies.
-        assert!(EmConfig::builder().mem(8).block(16).build().is_err());
-        // Defaults match `medium` (the builder pins workers explicitly, so
-        // normalise the env-sensitive default on the `medium` side).
+        assert!(EmConfig::new(8, 16).is_err());
+        // `medium` is the same geometry (normalise the env-sensitive
+        // worker default on both sides).
         assert_eq!(
-            EmConfig::builder().build().unwrap(),
+            EmConfig::new(4096, 64).unwrap().with_workers(1),
             EmConfig::medium().with_workers(1)
         );
     }

@@ -16,8 +16,8 @@ use crate::memory::{MemCharge, MemoryTracker, TrackedVec};
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::pool::BlockCache;
 use crate::record::Record;
-use crate::stats::IoStats;
-use crate::trace::{JsonlSink, TraceSink, Tracer};
+use crate::stats::{Counter, IoStats};
+use crate::trace::{JsonlSink, PointKind, TraceSink, Tracer};
 
 #[derive(Debug)]
 pub(crate) enum Backing {
@@ -109,7 +109,7 @@ impl EmContext {
     /// caller-supplied `metrics` registry instead of a private one. A fleet
     /// of contexts (one per shard) built over the same registry shares
     /// every metric cell — `(name, labels)` dedup in
-    /// [`MetricsRegistry::child`] makes the aggregation exact — so a single
+    /// `MetricsRegistry::child` makes the aggregation exact — so a single
     /// scrape tells the whole fleet's story.
     pub fn new_in_memory_with_metrics(config: EmConfig, metrics: MetricsRegistry) -> Self {
         Self::build(config, Backing::Memory, false, metrics)
@@ -323,11 +323,11 @@ impl EmContext {
     /// the strict tracker re-points its capacity (new charges above the
     /// budget fail typed, existing charges stay valid), the governor
     /// recomputes lease fair shares, and the block cache is shrunk or
-    /// regrown in proportion — shedding clean frames first and flushing any
-    /// dirty write-back frames through the supplied hook before they are
-    /// released. Running jobs observe the new budget at their next phase
-    /// boundary. Returns the clamped budget that took effect.
-    pub fn set_mem_budget(&self, words: usize) -> Result<usize> {
+    /// regrown in proportion (shedding unpinned frames, which the
+    /// write-through device path keeps equal to the device's blocks).
+    /// Running jobs observe the new budget at their next phase boundary.
+    /// Returns the clamped budget that took effect.
+    pub fn set_mem_budget(&self, words: usize) -> usize {
         let floor = self.inner.config.block_size() * 2;
         let words = words.max(floor);
         let prev = self.inner.mem.capacity();
@@ -340,31 +340,21 @@ impl EmContext {
             let scaled = ((cache_full as u128 * words as u128)
                 / self.inner.config.mem_capacity().max(1) as u128)
                 as usize;
-            // The context's own device path is write-through, so its cache
-            // never holds dirty frames and this hook is unreachable; if an
-            // embedder ever parks write-back frames here, failing the
-            // shrink is the correct never-drop response.
-            self.inner
-                .cache
-                .set_capacity(scaled.clamp(1, cache_full), &mut |_, _, _| {
-                    Err(crate::error::EmError::config(
-                        "cache squeeze found a dirty frame on a write-through context",
-                    ))
-                })?;
+            self.inner.cache.set_capacity(scaled.clamp(1, cache_full));
         }
         if words < prev {
-            self.inner.stats.record_mem_reclaim();
-            self.inner.tracer.point(crate::trace::PointKind::Governor {
+            self.inner.stats.add(Counter::MemReclaims, 1);
+            self.inner.stats.trace_point(PointKind::Governor {
                 event: "squeeze".into(),
                 words: words as u64,
             });
         } else if words > prev {
-            self.inner.tracer.point(crate::trace::PointKind::Governor {
+            self.inner.stats.trace_point(PointKind::Governor {
                 event: "restore".into(),
                 words: words as u64,
             });
         }
-        Ok(words)
+        words
     }
 
     /// The shared buffer-pool block cache (inert unless the context was
@@ -655,7 +645,7 @@ impl EmContext {
     /// through (typed denials are observable, not silent).
     fn note_denial<T>(&self, r: Result<T>) -> Result<T> {
         if let Err(crate::error::EmError::MemoryExceeded { .. }) = &r {
-            self.inner.stats.record_mem_denial();
+            self.inner.stats.add(Counter::MemDenials, 1);
         }
         r
     }
@@ -703,7 +693,7 @@ mod tests {
     fn clones_share_stats() {
         let ctx = EmContext::new_in_memory(EmConfig::tiny());
         let ctx2 = ctx.clone();
-        ctx.stats().record_comparisons(3);
+        ctx.stats().add(Counter::Comparisons, 3);
         assert_eq!(ctx2.stats().snapshot().comparisons, 3);
     }
 

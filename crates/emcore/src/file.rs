@@ -57,6 +57,7 @@ use crate::error::{EmError, Result};
 use crate::fault::{FaultKind, IoOp};
 use crate::memory::TrackedVec;
 use crate::record::Record;
+use crate::stats::Counter;
 use crate::trace::PointKind;
 
 /// Width of the per-block checksum on the file backend.
@@ -93,8 +94,7 @@ fn consult_plan(ctx: &EmContext, op: IoOp, file: u64) -> Result<Injected> {
     let Some(plan) = plan else {
         return Ok(Injected::None);
     };
-    let tracer = ctx.tracer();
-    let traced = tracer.is_enabled() && !ctx.stats().is_paused();
+    let traced = ctx.tracer().is_enabled() && !ctx.stats().is_paused();
     let injected_before = if traced { plan.injected().total() } else { 0 };
     let decision = plan.decide(op);
     if traced {
@@ -103,7 +103,7 @@ fn consult_plan(ctx: &EmContext, op: IoOp, file: u64) -> Result<Injected> {
             // advancing the schedule — only genuinely injected faults (the
             // injection tally moved) become events.
             if plan.injected().total() > injected_before {
-                tracer.point(PointKind::Fault { kind, op, file });
+                ctx.stats().trace_point(PointKind::Fault { kind, op, file });
             }
         }
     }
@@ -138,7 +138,7 @@ fn with_retries<R>(ctx: &EmContext, mut attempt: impl FnMut() -> Result<R>) -> R
                     return Err(e);
                 }
                 failed += 1;
-                ctx.stats().record_retry();
+                ctx.stats().add(Counter::Retries, 1);
                 if ctx.tracer().is_enabled() && !ctx.stats().is_paused() {
                     let op = match &e {
                         EmError::Transient { op, .. } => *op,
@@ -146,7 +146,7 @@ fn with_retries<R>(ctx: &EmContext, mut attempt: impl FnMut() -> Result<R>) -> R
                         // is detected on the read path.
                         _ => IoOp::Read,
                     };
-                    ctx.tracer().point(PointKind::Retry { op });
+                    ctx.stats().trace_point(PointKind::Retry { op });
                 }
                 ctx.note_backoff(p.backoff_ticks(failed));
             }
@@ -343,14 +343,14 @@ impl<T: Record> EmFile<T> {
                     buf[0] = flip_record_bit(&buf[0]);
                 }
                 self.ctx.stats().record_read_block(self.id, block, 0);
-                self.ctx.stats().record_physical_read();
+                self.ctx.stats().add(Counter::PhysicalReads, 1);
             }
             Storage::Disk { file, .. } => {
                 use std::os::unix::fs::FileExt;
                 let bytes = count * T::BYTES;
                 let stride = self.disk_stride();
                 let corrupt = || {
-                    self.ctx.stats().record_corrupt_read();
+                    self.ctx.stats().add(Counter::CorruptReads, 1);
                     EmError::Corrupt {
                         block,
                         file: self.id,
@@ -383,7 +383,7 @@ impl<T: Record> EmFile<T> {
                 self.ctx
                     .stats()
                     .record_read_block(self.id, block, bytes as u64);
-                self.ctx.stats().record_physical_read();
+                self.ctx.stats().add(Counter::PhysicalReads, 1);
                 throttle_device(&self.ctx);
             }
         }
@@ -441,7 +441,7 @@ impl<T: Record> EmFile<T> {
                     Injected::None => store(blocks, data.to_vec().into_boxed_slice()),
                 }
                 self.ctx.stats().record_write_block(self.id, slot, 0);
-                self.ctx.stats().record_physical_write();
+                self.ctx.stats().add(Counter::PhysicalWrites, 1);
             }
             Storage::Disk { file, .. } => {
                 use std::os::unix::fs::FileExt;
@@ -484,7 +484,7 @@ impl<T: Record> EmFile<T> {
                 self.ctx
                     .stats()
                     .record_write_block(self.id, slot, bytes as u64);
-                self.ctx.stats().record_physical_write();
+                self.ctx.stats().add(Counter::PhysicalWrites, 1);
                 throttle_device(&self.ctx);
             }
         }
@@ -524,10 +524,10 @@ impl<T: Record> EmFile<T> {
                     Storage::Disk { .. } => (count * T::BYTES) as u64,
                 };
                 self.ctx.stats().record_read_block(self.id, block, bytes);
-                self.ctx.stats().record_cache_hit();
+                self.ctx.stats().add(Counter::CacheHits, 1);
                 return Ok(());
             }
-            self.ctx.stats().record_cache_miss();
+            self.ctx.stats().add(Counter::CacheMisses, 1);
         }
         let ctx = self.ctx.clone();
         with_retries(&ctx, || self.device_read(block, count, buf))?;

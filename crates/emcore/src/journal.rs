@@ -250,10 +250,10 @@ impl Journal {
 
     /// Charge one journal write and trace it.
     fn record_write(&self) {
-        self.ctx.stats().record_journal_write();
-        let tracer = self.ctx.tracer();
-        if tracer.is_enabled() {
-            tracer.point(crate::trace::PointKind::JournalCommit {
+        let stats = self.ctx.stats();
+        stats.add(crate::stats::Counter::JournalWrites, 1);
+        if self.ctx.tracer().is_enabled() {
+            stats.trace_point(crate::trace::PointKind::JournalCommit {
                 name: self.name.clone(),
             });
         }

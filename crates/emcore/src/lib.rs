@@ -94,7 +94,7 @@ pub use recovery::{run_recoverable, InputId, LedgerDoc, Manifest, RecoverableJob
 pub use report::{SpanNode, TraceReport};
 pub use rng::SplitMix64;
 pub use spill::SpillVec;
-pub use stats::{Counters, IoStats, PhaseGuard, TraceSpanGuard};
+pub use stats::{Counters, IoStats, PhaseGuard};
 pub use trace::{
     FileAccess, JsonlSink, PointKind, RingSink, TraceEvent, TraceSink, Tracer, HEAT_BUCKETS,
 };

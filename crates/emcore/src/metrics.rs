@@ -24,7 +24,7 @@
 //!   and any two snapshots — from different processes, runs, or points
 //!   in time — merge by bucket-wise addition.
 //!
-//! Timestamps come from a [`Clock`](crate::clock::Clock) so tests drive
+//! Timestamps come from a [`Clock`] so tests drive
 //! a [`ManualClock`](crate::clock::ManualClock) deterministically.
 //! Snapshots serialize with the same hand-rolled JSONL codec the tracer
 //! uses (one flat object per metric sample per tick) and render back

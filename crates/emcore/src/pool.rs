@@ -11,23 +11,19 @@
 //!
 //! * **Read-only population** — frames are filled from *successful,
 //!   checksum-verified* device reads only. A write never populates a frame.
-//! * **Write-through + invalidate** on the device path — every logical
-//!   write goes to the device, and any cached frame for the written block
-//!   is dropped, so a persisted corruption is still detected by the next
-//!   (physical) read. The pool *also* supports write-back frames
-//!   ([`BlockCache::insert_dirty`]) for embedders that buffer writes: a
-//!   dirty frame is **never dropped** — the clock skips it, and capacity
-//!   shrinks ([`BlockCache::set_capacity`]) flush it through the caller's
-//!   write-back hook before the frame is released.
+//! * **Write-through + invalidate** — every logical write goes to the
+//!   device, and any cached frame for the written block is dropped, so a
+//!   persisted corruption is still detected by the next (physical) read.
+//!   Every frame therefore holds a copy of what the device holds, and
+//!   dropping one never loses data.
 //! * **Clock eviction** — a second-chance clock over the frame table;
-//!   pinned and dirty frames are never evicted, referenced frames get one
-//!   more lap.
+//!   pinned frames are never evicted, referenced frames get one more lap.
 //! * **No memory-model charge** — the pool models the device/OS cache layer
 //!   *beneath* the EM machine, so its frames are not charged against `M`
 //!   (strict-mode algorithms keep their exact memory accounting). Budget
 //!   squeezes still reach it: the governor shrinks the frame count in
-//!   proportion to `M`, shedding clean blocks first, then flushing dirty
-//!   ones.
+//!   proportion to `M` ([`BlockCache::set_capacity`]), shedding unpinned
+//!   frames.
 //!
 //! The pool is thread-safe; all state sits behind one mutex, and pinned
 //! frames hand out shared ownership of the payload bytes so readers never
@@ -48,9 +44,6 @@ struct Frame {
     pins: u32,
     /// Clock reference bit: set on hit, cleared as the hand sweeps past.
     referenced: bool,
-    /// Write-back frame holding data newer than the device. Never evicted
-    /// by the clock; released only after a flush hands it back.
-    dirty: bool,
 }
 
 #[derive(Debug, Default)]
@@ -72,7 +65,7 @@ impl PoolInner {
             let slot = self.hand;
             self.hand = (self.hand + 1) % n;
             let f = &mut self.frames[slot];
-            if f.pins > 0 || f.dirty {
+            if f.pins > 0 {
                 continue;
             }
             if f.referenced {
@@ -94,13 +87,11 @@ impl PoolInner {
         f.key = (u64::MAX, u64::MAX);
         f.data = Arc::new(Vec::new());
         f.referenced = false;
-        f.dirty = false;
     }
 
-    /// Shed clean, unpinned, mapped frames (skipping `keep`) until at most
-    /// `target` blocks remain cached. Dirty and pinned frames are left
-    /// alone — shedding never loses data.
-    fn shed_clean(&mut self, target: usize, keep: Option<usize>) {
+    /// Shed unpinned, mapped frames (skipping `keep`) until at most
+    /// `target` blocks remain cached. Pinned frames are left alone.
+    fn shed(&mut self, target: usize, keep: Option<usize>) {
         for slot in 0..self.frames.len() {
             if self.map.len() <= target {
                 return;
@@ -109,7 +100,7 @@ impl PoolInner {
                 continue;
             }
             let f = &self.frames[slot];
-            if f.pins == 0 && !f.dirty && f.key != (u64::MAX, u64::MAX) {
+            if f.pins == 0 && f.key != (u64::MAX, u64::MAX) {
                 self.evictions += 1;
                 self.detach(slot);
             }
@@ -126,10 +117,6 @@ impl PoolInner {
 pub struct BlockCache {
     inner: Option<Arc<Mutex<PoolInner>>>,
 }
-
-/// A dirty-frame write-back hook: `(file, block, bytes)` flushed to the
-/// device. Used by [`BlockCache::flush_all`] and [`BlockCache::set_capacity`].
-pub type FlushFn<'a> = dyn FnMut(u64, u64, &[u8]) -> crate::Result<()> + 'a;
 
 impl BlockCache {
     /// A pool of `capacity` frames; `capacity == 0` disables caching.
@@ -189,40 +176,19 @@ impl BlockCache {
     }
 
     /// Insert the payload of `(file, block)`, evicting a victim if the pool
-    /// is full. Silently does nothing when the pool is disabled, when every
-    /// frame is pinned or dirty, or when the block is already cached (a
-    /// *clean* existing frame is refreshed with `data`; a dirty frame keeps
-    /// its newer write-back payload).
+    /// is full. Silently does nothing when the pool is disabled or every
+    /// frame is pinned; a block already cached is refreshed with `data`.
     pub fn insert(&self, file: u64, block: u64, data: &[u8]) {
-        self.insert_inner(file, block, data, false);
-    }
-
-    /// Insert a *write-back* frame for `(file, block)`: the payload is
-    /// newer than the device copy, so the frame is marked dirty and will
-    /// never be dropped — only [`BlockCache::flush_all`] /
-    /// [`BlockCache::set_capacity`] release it, after handing the bytes to
-    /// the caller's flush hook. Returns `false` when the frame could not be
-    /// cached (pool disabled, or every frame pinned/dirty) — the caller
-    /// must then write through to the device itself.
-    #[must_use]
-    pub fn insert_dirty(&self, file: u64, block: u64, data: &[u8]) -> bool {
-        self.insert_inner(file, block, data, true)
-    }
-
-    fn insert_inner(&self, file: u64, block: u64, data: &[u8], dirty: bool) -> bool {
         let Some(inner) = self.inner.as_ref() else {
-            return false;
+            return;
         };
         let key = (file, block);
         let mut g = lock(inner);
         if let Some(&slot) = g.map.get(&key) {
             let f = &mut g.frames[slot];
-            if dirty || !f.dirty {
-                f.data = Arc::new(data.to_vec());
-                f.dirty = f.dirty || dirty;
-            }
+            f.data = Arc::new(data.to_vec());
             f.referenced = true;
-            return true;
+            return;
         }
         let slot = if g.frames.len() < g.capacity {
             g.frames.push(Frame {
@@ -230,12 +196,11 @@ impl BlockCache {
                 data: Arc::new(data.to_vec()),
                 pins: 0,
                 referenced: false,
-                dirty,
             });
             g.frames.len() - 1
         } else {
             let Some(victim) = g.find_victim() else {
-                return false; // everything pinned/dirty: drop, never block
+                return; // everything pinned: drop, never block
             };
             let old = g.frames[victim].key;
             g.map.remove(&old);
@@ -244,79 +209,27 @@ impl BlockCache {
             f.key = key;
             f.data = Arc::new(data.to_vec());
             f.referenced = false;
-            f.dirty = dirty;
             victim
         };
         g.map.insert(key, slot);
         // After a governor shrink the frame table may be longer than the
         // (new) capacity; keep the cached-block count at the target by
-        // shedding other clean frames.
+        // shedding other frames.
         let cap = g.capacity;
         if g.map.len() > cap {
-            g.shed_clean(cap, Some(slot));
-        }
-        true
-    }
-
-    /// Write-back frames currently held (blocks newer than the device).
-    pub fn dirty_len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| lock(i).frames.iter().filter(|f| f.dirty).count())
-    }
-
-    /// Flush every dirty frame through `flush(file, block, bytes)`, marking
-    /// it clean on success. Stops at (and returns) the first flush error,
-    /// leaving the remaining frames dirty — a failed write-back never drops
-    /// data. The pool lock is *not* held across `flush` calls, so the hook
-    /// may safely re-enter the cache (e.g. a device write that invalidates).
-    pub fn flush_all(&self, flush: &mut FlushFn<'_>) -> crate::Result<()> {
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(());
-        };
-        loop {
-            let Some((slot, key, data)) = next_dirty(inner, 0, false) else {
-                return Ok(());
-            };
-            flush(key.0, key.1, &data)?;
-            let mut g = lock(inner);
-            let f = &mut g.frames[slot];
-            if f.key == key && Arc::ptr_eq(&f.data, &data) {
-                f.dirty = false;
-            }
+            g.shed(cap, Some(slot));
         }
     }
 
     /// Re-point the frame budget (the governor's squeeze/restore path).
-    /// Shrinking sheds clean blocks first; if the target is still exceeded,
-    /// dirty frames are flushed through `flush` and *then* released — a
-    /// dirty block is never dropped. Pinned frames are kept even over
-    /// target (best effort until the pins drain). A flush error aborts the
-    /// shrink with the remaining dirty frames intact.
-    pub fn set_capacity(&self, new_cap: usize, flush: &mut FlushFn<'_>) -> crate::Result<()> {
-        let Some(inner) = self.inner.as_ref() else {
-            return Ok(());
-        };
-        {
+    /// Shrinking sheds unpinned frames; pinned frames are kept even over
+    /// target (best effort until the pins drain).
+    pub fn set_capacity(&self, new_cap: usize) {
+        if let Some(inner) = self.inner.as_ref() {
             let mut g = lock(inner);
             g.capacity = new_cap;
-            g.shed_clean(new_cap, None);
+            g.shed(new_cap, None);
         }
-        let mut from = 0;
-        while lock(inner).map.len() > new_cap {
-            let Some((slot, key, data)) = next_dirty(inner, from, true) else {
-                return Ok(()); // only pinned frames remain over target
-            };
-            flush(key.0, key.1, &data)?;
-            let mut g = lock(inner);
-            let f = &g.frames[slot];
-            if f.key == key && Arc::ptr_eq(&f.data, &data) {
-                g.evictions += 1;
-                g.detach(slot);
-            }
-            from = slot + 1;
-        }
-        Ok(())
     }
 
     /// Drop any cached frame for `(file, block)` — called on every write so
@@ -329,7 +242,7 @@ impl BlockCache {
         let mut g = lock(inner);
         if let Some(slot) = g.map.remove(&(file, block)) {
             // Leave the frame in place but mark it reclaimable (the device
-            // now holds newer bytes, so even a dirty payload is stale).
+            // now holds newer bytes).
             g.detach(slot);
         }
     }
@@ -351,23 +264,6 @@ impl BlockCache {
 
 fn lock(inner: &Arc<Mutex<PoolInner>>) -> MutexGuard<'_, PoolInner> {
     inner.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Snapshot the first dirty frame at slot `>= from` (optionally requiring
-/// it to be unpinned), releasing the lock before the caller flushes so the
-/// flush hook can safely re-enter the cache.
-fn next_dirty(
-    inner: &Arc<Mutex<PoolInner>>,
-    from: usize,
-    require_unpinned: bool,
-) -> Option<(usize, Key, Arc<Vec<u8>>)> {
-    let g = lock(inner);
-    g.frames
-        .iter()
-        .enumerate()
-        .skip(from)
-        .find(|(_, f)| f.dirty && (!require_unpinned || f.pins == 0))
-        .map(|(slot, f)| (slot, f.key, Arc::clone(&f.data)))
 }
 
 /// Shared, pinned view of one cached block's payload bytes. The frame
@@ -484,86 +380,18 @@ mod tests {
     }
 
     #[test]
-    fn dirty_frames_survive_the_clock() {
-        let c = BlockCache::new(2);
-        assert!(c.insert_dirty(0, 0, &[7]));
-        c.insert(0, 1, &[1]);
-        // Pool full; the clock must victimize the clean frame, never the
-        // dirty one, no matter how much traffic passes through.
-        for b in 2..10 {
-            c.insert(0, b, &[b as u8]);
+    fn shrink_sheds_unpinned_frames() {
+        let c = BlockCache::new(4);
+        for b in 0..4 {
+            c.insert(1, b, &[10 + b as u8]);
         }
-        assert_eq!(&*c.get(0, 0).unwrap(), &[7], "dirty frame still cached");
-        assert_eq!(c.dirty_len(), 1);
-    }
-
-    #[test]
-    fn clean_insert_does_not_clobber_dirty_payload() {
-        let c = BlockCache::new(2);
-        assert!(c.insert_dirty(4, 2, &[9, 9]));
-        c.insert(4, 2, &[1, 1]); // read-population with stale device bytes
-        assert_eq!(&*c.get(4, 2).unwrap(), &[9, 9]);
-        assert!(c.insert_dirty(4, 2, &[3])); // newer write-back wins
-        assert_eq!(&*c.get(4, 2).unwrap(), &[3]);
-    }
-
-    #[test]
-    fn shrink_sheds_clean_then_flushes_dirty_never_drops() {
-        let c = BlockCache::new(4);
-        assert!(c.insert_dirty(1, 0, &[10]));
-        assert!(c.insert_dirty(1, 1, &[11]));
-        c.insert(1, 2, &[12]);
-        c.insert(1, 3, &[13]);
-        let mut flushed: Vec<(u64, u64, Vec<u8>)> = Vec::new();
-        c.set_capacity(1, &mut |f, b, d| {
-            flushed.push((f, b, d.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert!(c.len() <= 1, "cache shrunk to the new budget");
-        // Both clean frames were shed without a flush; exactly one dirty
-        // frame had to be written back to reach the target, and its bytes
-        // arrived intact at the write-back hook.
-        assert_eq!(flushed.len(), 1);
-        let (f, b, d) = &flushed[0];
-        assert_eq!(*f, 1);
-        assert_eq!(d, &vec![10 + *b as u8]);
-        assert_eq!(
-            c.dirty_len(),
-            1,
-            "the surviving frame is the other dirty block"
-        );
-    }
-
-    #[test]
-    fn failed_flush_aborts_shrink_with_data_intact() {
-        let c = BlockCache::new(2);
-        assert!(c.insert_dirty(0, 0, &[1]));
-        assert!(c.insert_dirty(0, 1, &[2]));
-        let e = c.set_capacity(0, &mut |_, _, _| {
-            Err(crate::EmError::config("device refused"))
-        });
-        assert!(e.is_err());
-        assert_eq!(c.dirty_len(), 2, "no dirty frame dropped on flush failure");
-        assert_eq!(&*c.get(0, 0).unwrap(), &[1]);
-        assert_eq!(&*c.get(0, 1).unwrap(), &[2]);
-    }
-
-    #[test]
-    fn flush_all_marks_clean_without_evicting() {
-        let c = BlockCache::new(4);
-        assert!(c.insert_dirty(2, 0, &[5]));
-        assert!(c.insert_dirty(2, 1, &[6]));
-        let mut flushed = Vec::new();
-        c.flush_all(&mut |_, b, d| {
-            flushed.push((b, d.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(c.dirty_len(), 0);
-        assert_eq!(c.len(), 2, "flushed frames stay cached, now clean");
-        assert_eq!(&*c.get(2, 0).unwrap(), &[5]);
+        let pinned = c.get(1, 0).unwrap();
+        c.set_capacity(1);
+        assert_eq!(c.len(), 1, "cache shrunk to the new budget");
+        // The pinned frame is the one that survived, payload intact.
+        assert_eq!(&*c.get(1, 0).unwrap(), &[10]);
+        assert_eq!(&*pinned, &[10]);
+        assert_eq!(c.evictions(), 3);
     }
 
     #[test]
@@ -572,9 +400,9 @@ mod tests {
         for b in 0..4 {
             c.insert(0, b, &[b as u8]);
         }
-        c.set_capacity(1, &mut |_, _, _| Ok(())).unwrap();
+        c.set_capacity(1);
         assert!(c.len() <= 1);
-        c.set_capacity(4, &mut |_, _, _| Ok(())).unwrap();
+        c.set_capacity(4);
         for b in 10..14 {
             c.insert(0, b, &[b as u8]);
         }

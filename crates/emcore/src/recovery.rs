@@ -63,7 +63,7 @@ use crate::error::{EmError, Result};
 use crate::file::EmFile;
 use crate::journal::{from_hex, to_hex, Journal};
 use crate::record::Record;
-use crate::stats::{Counters, IoStats, TraceSpanGuard};
+use crate::stats::{Counters, IoStats, PhaseGuard};
 
 /// State version of every ledger document. Version 1 was the per-job
 /// encoding that preceded the ledger; [`Journal`] refuses it as an older
@@ -130,7 +130,7 @@ pub struct Unit<'c> {
     redo: bool,
     before: Counters,
     stats: &'c IoStats,
-    _span: TraceSpanGuard<'c>,
+    _span: PhaseGuard<'c>,
 }
 
 impl WorkLedger {

@@ -7,6 +7,13 @@
 //! as trace spans: when a [`crate::TraceSink`] is installed on the context,
 //! every phase open/close is emitted as a span event carrying its exact
 //! counter delta (see [`crate::trace`]).
+//!
+//! The counter list is written once, in the `counters!` table below: the
+//! struct, its atomic mirror, `since`/`plus` and the trace codec all loop
+//! over it. Open phases and spans are recorded once too, on the per-thread
+//! scope stacks of [`IoStats`]. Each scope keeps the span it opened, so a
+//! new span's parent and the span a point event belongs to are read off
+//! these stacks; the tracer keeps no list of open spans.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -14,71 +21,99 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
 use crate::fault::IoOp;
-use crate::trace::{PointKind, Tracer};
+use crate::trace::{PointKind, SpanRef, Tracer};
 
-/// A plain set of counters. Snapshots and phase totals use this type.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counters {
+/// Declares [`Counters`] (one pub `u64` per row), the [`Counter`] enum
+/// naming each field, and the array view the loops below work on.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $field:ident: $name:ident,)+) => {
+        /// A plain set of counters. Snapshots and phase totals use this type.
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        /// One field of [`Counters`]: what [`IoStats::add`] charges.
+        /// (`Comparisons` is charged only by tests so far.)
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[allow(dead_code)]
+        pub(crate) enum Counter {
+            $($name,)+
+        }
+
+        /// Number of fields in [`Counters`].
+        const COUNTERS: usize = [$(stringify!($field)),+].len();
+
+        impl Counters {
+            /// Field names in declaration order (the keys of a trace
+            /// `close` event).
+            pub(crate) const NAMES: [&'static str; COUNTERS] = [$(stringify!($field)),+];
+
+            /// The fields in declaration order.
+            pub(crate) fn to_array(self) -> [u64; COUNTERS] {
+                [$(self.$field),+]
+            }
+
+            /// Inverse of [`Counters::to_array`].
+            pub(crate) fn from_array([$($field),+]: [u64; COUNTERS]) -> Self {
+                Counters { $($field),+ }
+            }
+        }
+    };
+}
+
+counters! {
     /// Block reads.
-    pub reads: u64,
+    reads: Reads,
     /// Block writes.
-    pub writes: u64,
-    /// Key comparisons (only charged by algorithms that opt in).
-    pub comparisons: u64,
+    writes: Writes,
+    /// Key comparisons. No algorithm charges them yet, so outside tests
+    /// this reads 0.
+    comparisons: Comparisons,
     /// Bytes read from the file backend (0 on the memory backend).
-    pub bytes_read: u64,
+    bytes_read: BytesRead,
     /// Bytes written to the file backend (0 on the memory backend).
-    pub bytes_written: u64,
+    bytes_written: BytesWritten,
     /// Device attempts that failed and were retried under the context's
     /// [`crate::RetryPolicy`]. Successful attempts are charged to
     /// `reads`/`writes` as usual, so with an empty fault plan this is 0 and
     /// every other counter is unchanged.
-    pub retries: u64,
+    retries: Retries,
     /// Block reads that failed checksum verification (each such attempt also
     /// counts toward `retries` if it was retried).
-    pub corrupt_reads: u64,
+    corrupt_reads: CorruptReads,
     /// Checkpoint-journal commits (see [`crate::Journal`]). Journal commits
     /// are host-side metadata writes, not block transfers, so they are *not*
     /// part of [`Counters::total_ios`].
-    pub journal_writes: u64,
+    journal_writes: JournalWrites,
     /// Block I/Os spent *re-executing* a work unit that a crash interrupted
     /// (charged by recoverable algorithms when they redo an in-flight unit
     /// on resume). These I/Os are also counted in `reads`/`writes`; this
     /// counter isolates the rework overhead.
-    pub redone_ios: u64,
+    redone_ios: RedoneIos,
     /// Physical block reads actually performed by the device layer —
     /// block-cache misses plus uncached reads. With the cache disabled
     /// (`cache_blocks = 0`) every logical read is physical, so this equals
     /// `reads`.
-    pub physical_reads: u64,
+    physical_reads: PhysicalReads,
     /// Physical block writes performed by the device layer. The block cache
     /// is write-through (writes are never absorbed), so this always equals
     /// `writes`.
-    pub physical_writes: u64,
+    physical_writes: PhysicalWrites,
     /// Block-cache hits: logical reads served from the buffer pool without
     /// a device transfer. Always 0 with the cache disabled.
-    pub cache_hits: u64,
+    cache_hits: CacheHits,
     /// Block-cache misses: logical reads that consulted the buffer pool,
     /// went to the device, and populated a frame. Always 0 with the cache
     /// disabled.
-    pub cache_misses: u64,
-    /// Queries the serving layer shed at admission because their deadline
-    /// had already expired (no I/O was spent on them).
-    pub shed_queries: u64,
-    /// Serving-layer circuit-breaker trips: a dataset entered the
-    /// `Unhealthy` (fail-fast) state after consecutive fatal batch
-    /// failures.
-    pub breaker_trips: u64,
-    /// Queries answered *approximately* from a splitter-index skeleton
-    /// alone (zero I/O, explicit rank-error bound) instead of being shed.
-    pub degraded_answers: u64,
+    cache_misses: CacheMisses,
     /// Strict-mode memory charges denied with a typed
     /// [`crate::EmError::MemoryExceeded`] (the caller retried smaller,
     /// degraded, or surfaced the error — nothing panicked).
-    pub mem_denials: u64,
+    mem_denials: MemDenials,
     /// Governor budget squeezes delivered via `EmContext::set_mem_budget`
     /// (shrinks only; restores are visible in the trace stream).
-    pub mem_reclaims: u64,
+    mem_reclaims: MemReclaims,
 }
 
 impl Counters {
@@ -117,57 +152,23 @@ impl Counters {
         }
     }
 
+    /// Field by field `f(self, other)`.
+    fn zip_with(&self, other: &Counters, f: fn(u64, u64) -> u64) -> Counters {
+        let (a, b) = (self.to_array(), other.to_array());
+        Counters::from_array(std::array::from_fn(|i| f(a[i], b[i])))
+    }
+
     /// Component-wise difference `self - earlier`. Saturates at zero so that
     /// diffing against a later snapshot does not panic in release builds.
     pub fn since(&self, earlier: &Counters) -> Counters {
-        Counters {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            comparisons: self.comparisons.saturating_sub(earlier.comparisons),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            retries: self.retries.saturating_sub(earlier.retries),
-            corrupt_reads: self.corrupt_reads.saturating_sub(earlier.corrupt_reads),
-            journal_writes: self.journal_writes.saturating_sub(earlier.journal_writes),
-            redone_ios: self.redone_ios.saturating_sub(earlier.redone_ios),
-            physical_reads: self.physical_reads.saturating_sub(earlier.physical_reads),
-            physical_writes: self.physical_writes.saturating_sub(earlier.physical_writes),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-            shed_queries: self.shed_queries.saturating_sub(earlier.shed_queries),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            degraded_answers: self
-                .degraded_answers
-                .saturating_sub(earlier.degraded_answers),
-            mem_denials: self.mem_denials.saturating_sub(earlier.mem_denials),
-            mem_reclaims: self.mem_reclaims.saturating_sub(earlier.mem_reclaims),
-        }
+        self.zip_with(earlier, u64::saturating_sub)
     }
 
     /// Component-wise sum. Saturates like [`Counters::since`] so that
     /// accumulating totals over a long campaign can never overflow-panic in
     /// debug builds.
     pub fn plus(&self, other: &Counters) -> Counters {
-        Counters {
-            reads: self.reads.saturating_add(other.reads),
-            writes: self.writes.saturating_add(other.writes),
-            comparisons: self.comparisons.saturating_add(other.comparisons),
-            bytes_read: self.bytes_read.saturating_add(other.bytes_read),
-            bytes_written: self.bytes_written.saturating_add(other.bytes_written),
-            retries: self.retries.saturating_add(other.retries),
-            corrupt_reads: self.corrupt_reads.saturating_add(other.corrupt_reads),
-            journal_writes: self.journal_writes.saturating_add(other.journal_writes),
-            redone_ios: self.redone_ios.saturating_add(other.redone_ios),
-            physical_reads: self.physical_reads.saturating_add(other.physical_reads),
-            physical_writes: self.physical_writes.saturating_add(other.physical_writes),
-            cache_hits: self.cache_hits.saturating_add(other.cache_hits),
-            cache_misses: self.cache_misses.saturating_add(other.cache_misses),
-            shed_queries: self.shed_queries.saturating_add(other.shed_queries),
-            breaker_trips: self.breaker_trips.saturating_add(other.breaker_trips),
-            degraded_answers: self.degraded_answers.saturating_add(other.degraded_answers),
-            mem_denials: self.mem_denials.saturating_add(other.mem_denials),
-            mem_reclaims: self.mem_reclaims.saturating_add(other.mem_reclaims),
-        }
+        self.zip_with(other, u64::saturating_add)
     }
 }
 
@@ -221,15 +222,6 @@ impl std::fmt::Display for Counters {
                 self.physical_ios()
             )?;
         }
-        if self.shed_queries != 0 {
-            write!(f, ", {} shed queries", self.shed_queries)?;
-        }
-        if self.breaker_trips != 0 {
-            write!(f, ", {} breaker trips", self.breaker_trips)?;
-        }
-        if self.degraded_answers != 0 {
-            write!(f, ", {} degraded answers", self.degraded_answers)?;
-        }
         if self.mem_denials != 0 {
             write!(f, ", {} mem denials", self.mem_denials)?;
         }
@@ -240,99 +232,52 @@ impl std::fmt::Display for Counters {
     }
 }
 
-/// One open phase/span on the stack.
+/// One open phase or trace-only span on a thread's stack.
 #[derive(Debug)]
 struct Scope {
     name: String,
     start: Counters,
-    /// Trace span id (0 when tracing was disabled at open time).
-    span: u64,
+    /// The span this scope opened, when a trace was being recorded then.
+    span: Option<SpanRef>,
     /// Whether the delta is added to `phase_totals` on close. Trace-only
     /// spans (work units, recursion levels) set this false so they appear
     /// in the span tree without double-counting in the flat totals.
     charge: bool,
 }
 
-/// The counters themselves, as per-field relaxed atomics. Charging an I/O
-/// from a worker thread is a couple of `fetch_add`s — no lock, no parking —
-/// so the accounting layer stays off the critical path of a parallel sort
-/// even when every worker charges on every block.
+/// The counters themselves, one relaxed atomic per [`Counters`] field.
+/// Charging an I/O from a worker thread is a couple of `fetch_add`s — no
+/// lock, no parking — so the accounting layer stays off the critical path
+/// of a parallel sort even when every worker charges on every block.
 #[derive(Debug, Default)]
-struct AtomicCounters {
-    reads: AtomicU64,
-    writes: AtomicU64,
-    comparisons: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    retries: AtomicU64,
-    corrupt_reads: AtomicU64,
-    journal_writes: AtomicU64,
-    redone_ios: AtomicU64,
-    physical_reads: AtomicU64,
-    physical_writes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    shed_queries: AtomicU64,
-    breaker_trips: AtomicU64,
-    degraded_answers: AtomicU64,
-    mem_denials: AtomicU64,
-    mem_reclaims: AtomicU64,
-}
+struct AtomicCounters([AtomicU64; COUNTERS]);
 
 impl AtomicCounters {
+    #[inline]
+    fn add(&self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     fn load(&self) -> Counters {
-        Counters {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            comparisons: self.comparisons.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            corrupt_reads: self.corrupt_reads.load(Ordering::Relaxed),
-            journal_writes: self.journal_writes.load(Ordering::Relaxed),
-            redone_ios: self.redone_ios.load(Ordering::Relaxed),
-            physical_reads: self.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.physical_writes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            shed_queries: self.shed_queries.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            degraded_answers: self.degraded_answers.load(Ordering::Relaxed),
-            mem_denials: self.mem_denials.load(Ordering::Relaxed),
-            mem_reclaims: self.mem_reclaims.load(Ordering::Relaxed),
-        }
+        Counters::from_array(self.0.each_ref().map(|c| c.load(Ordering::Relaxed)))
     }
 
     fn zero(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.comparisons.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.corrupt_reads.store(0, Ordering::Relaxed);
-        self.journal_writes.store(0, Ordering::Relaxed);
-        self.redone_ios.store(0, Ordering::Relaxed);
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.shed_queries.store(0, Ordering::Relaxed);
-        self.breaker_trips.store(0, Ordering::Relaxed);
-        self.degraded_answers.store(0, Ordering::Relaxed);
-        self.mem_denials.store(0, Ordering::Relaxed);
-        self.mem_reclaims.store(0, Ordering::Relaxed);
+        for c in &self.0 {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
 /// Bookkeeping that genuinely needs mutual exclusion: phase scopes and
 /// totals. The hot counters live outside this lock (see [`AtomicCounters`]);
-/// this mutex is only taken at phase boundaries and for reports.
+/// this mutex is only taken at phase boundaries, for trace points and for
+/// reports.
 #[derive(Debug, Default)]
 struct StatsInner {
-    /// Open phases, kept **per thread**: concurrent workers each see their
-    /// own LIFO stack, so interleaved begin/end from different threads never
-    /// pop each other's scopes.
+    /// Open phases and spans, kept **per thread**: concurrent workers each
+    /// see their own LIFO stack, so interleaved opens and closes from
+    /// different threads never pop each other's scopes.
     scope_stacks: HashMap<ThreadId, Vec<Scope>>,
     phase_totals: BTreeMap<String, Counters>,
 }
@@ -343,6 +288,27 @@ impl StatsInner {
         self.scope_stacks
             .entry(std::thread::current().id())
             .or_default()
+    }
+
+    /// The span a new span or point event of the calling thread attaches
+    /// to in trace `trace`: the thread's innermost open span; else the
+    /// oldest open span of any thread, so work on a worker thread nests
+    /// under the enclosing charged phase instead of becoming a spurious
+    /// root (which would break delta conservation); else 0, the root.
+    /// Spans opened under an earlier trace are skipped.
+    fn enclosing_span(&self, trace: u64) -> u64 {
+        let in_trace = |s: &Scope| s.span.filter(|r| r.trace == trace);
+        self.scope_stacks
+            .get(&std::thread::current().id())
+            .and_then(|stack| stack.iter().rev().find_map(in_trace))
+            .or_else(|| {
+                self.scope_stacks
+                    .values()
+                    .flatten()
+                    .filter_map(in_trace)
+                    .min_by_key(|r| r.id)
+            })
+            .map_or(0, |r| r.id)
     }
 
     fn open_scope_names(&self) -> Vec<&str> {
@@ -356,9 +322,9 @@ impl StatsInner {
 
 impl Drop for StatsInner {
     fn drop(&mut self) {
-        // An open phase at teardown means a begin_phase without a matching
-        // end_phase somewhere — attribution was silently dropped. Only
-        // assert when not already unwinding, to avoid a double panic.
+        // An open phase at teardown means a guard leaked somewhere —
+        // attribution was silently dropped. Only assert when not already
+        // unwinding, to avoid a double panic.
         if !std::thread::panicking() {
             let open = self.open_scope_names();
             debug_assert!(
@@ -423,16 +389,21 @@ impl IoStats {
         self.inner.paused.load(Ordering::Relaxed) > 0
     }
 
+    /// Charge `n` to `counter`, unless accounting is paused.
+    #[inline]
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        if !self.is_paused() {
+            self.inner.counters.add(counter, n);
+        }
+    }
+
     #[inline]
     pub(crate) fn record_read_block(&self, file: u64, block: u64, bytes: u64) {
         if self.is_paused() {
             return;
         }
-        self.inner.counters.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_read
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.inner.counters.add(Counter::Reads, 1);
+        self.inner.counters.add(Counter::BytesRead, bytes);
         self.inner.tracer.note_access(IoOp::Read, file, block);
     }
 
@@ -441,91 +412,9 @@ impl IoStats {
         if self.is_paused() {
             return;
         }
-        self.inner.counters.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .counters
-            .bytes_written
-            .fetch_add(bytes, Ordering::Relaxed);
+        self.inner.counters.add(Counter::Writes, 1);
+        self.inner.counters.add(Counter::BytesWritten, bytes);
         self.inner.tracer.note_access(IoOp::Write, file, block);
-    }
-
-    /// Charge one physical (device-level) block read. Called by the device
-    /// layer on every actual transfer; a block-cache hit skips it.
-    #[inline]
-    pub(crate) fn record_physical_read(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .physical_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one physical (device-level) block write. The cache is
-    /// write-through, so every logical write is also physical.
-    #[inline]
-    pub(crate) fn record_physical_write(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .physical_writes
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one buffer-pool hit (a logical read served without a device
-    /// transfer).
-    #[inline]
-    pub(crate) fn record_cache_hit(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one buffer-pool miss (the lookup went to the device and the
-    /// frame was populated).
-    #[inline]
-    pub(crate) fn record_cache_miss(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .cache_misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one retried device attempt (see [`Counters::retries`]).
-    #[inline]
-    pub(crate) fn record_retry(&self) {
-        if !self.is_paused() {
-            self.inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one checksum-verification failure.
-    #[inline]
-    pub(crate) fn record_corrupt_read(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .corrupt_reads
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one checkpoint-journal commit. Journal commits are metadata
-    /// writes outside the block-I/O model, so `total_ios` is unaffected.
-    #[inline]
-    pub fn record_journal_write(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .journal_writes
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Charge `n` block I/Os as *rework*: I/Os spent re-executing a work
@@ -536,84 +425,8 @@ impl IoStats {
     #[inline]
     pub fn record_redone_ios(&self, n: u64) {
         if !self.is_paused() {
-            self.inner
-                .counters
-                .redone_ios
-                .fetch_add(n, Ordering::Relaxed);
-            self.inner.tracer.point(PointKind::WorkUnitRedo { ios: n });
-        }
-    }
-
-    /// Charge one shed query: the serving layer dropped it at admission
-    /// because its deadline had already expired (see
-    /// [`Counters::shed_queries`]).
-    #[inline]
-    pub fn record_shed_query(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .shed_queries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one circuit-breaker trip: a served dataset entered the
-    /// fail-fast `Unhealthy` state (see [`Counters::breaker_trips`]).
-    #[inline]
-    pub fn record_breaker_trip(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .breaker_trips
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one degraded answer: a query answered approximately from a
-    /// splitter skeleton at zero I/O (see [`Counters::degraded_answers`]).
-    #[inline]
-    pub fn record_degraded_answer(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .degraded_answers
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one strict-mode memory denial: a typed
-    /// [`crate::EmError::MemoryExceeded`] handed back instead of a panic.
-    #[inline]
-    pub fn record_mem_denial(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .mem_denials
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge one governor budget squeeze (a shrink delivered through
-    /// `EmContext::set_mem_budget`).
-    #[inline]
-    pub fn record_mem_reclaim(&self) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .mem_reclaims
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge `n` key comparisons. Algorithms that want comparison counts
-    /// (e.g. for checking the `Θ(N lg K)` internal-memory bound) call this.
-    #[inline]
-    pub fn record_comparisons(&self, n: u64) {
-        if !self.is_paused() {
-            self.inner
-                .counters
-                .comparisons
-                .fetch_add(n, Ordering::Relaxed);
+            self.inner.counters.add(Counter::RedoneIos, n);
+            self.trace_point(PointKind::WorkUnitRedo { ios: n });
         }
     }
 
@@ -621,9 +434,20 @@ impl IoStats {
     /// account for consuming caller-supplied rank lists (see DESIGN.md,
     /// model-fidelity notes).
     pub fn charge_reads(&self, n: u64) {
-        if !self.is_paused() {
-            self.inner.counters.reads.fetch_add(n, Ordering::Relaxed);
+        self.add(Counter::Reads, n);
+    }
+
+    /// Emit a point event, attributed to the span
+    /// [`StatsInner::enclosing_span`] picks. One flag check when tracing
+    /// is off.
+    pub(crate) fn trace_point(&self, kind: PointKind) {
+        if !self.inner.tracer.is_enabled() {
+            return;
         }
+        let g = self.lock();
+        self.inner
+            .tracer
+            .point(kind, |trace| g.enclosing_span(trace));
     }
 
     /// Current counter values.
@@ -655,19 +479,15 @@ impl IoStats {
         f()
     }
 
-    /// Begin a named phase. Phases nest; each `end_phase` closes the most
-    /// recent open phase and adds its delta to that phase's running total.
-    /// Prefer [`IoStats::phase_guard`], which closes on early return and
-    /// unwinding.
-    pub fn begin_phase(&self, name: impl Into<String>) {
-        self.push_scope(name.into(), true, None);
-    }
-
+    /// Push a scope on the calling thread's stack, opening its span when a
+    /// trace is being recorded. The span's parent is `parent` if given,
+    /// else [`StatsInner::enclosing_span`].
     fn push_scope(&self, name: String, charge: bool, parent: Option<u64>) {
         let start = self.snapshot();
         let mut g = self.lock();
-        // The tracer has its own interior state, independent of ours.
-        let span = self.inner.tracer.span_open_under(&name, parent);
+        let span = self.inner.tracer.span_open(&name, |trace| {
+            parent.unwrap_or_else(|| g.enclosing_span(trace))
+        });
         g.stack().push(Scope {
             name,
             start,
@@ -676,43 +496,53 @@ impl IoStats {
         });
     }
 
-    /// Trace span id of the calling thread's innermost open phase, or 0 if
-    /// none is open (or tracing is disabled). Capture this on a coordinating
-    /// thread and pass it to [`IoStats::trace_span_under`] from workers so
-    /// their spans nest under the coordinating phase.
-    pub fn current_span_id(&self) -> u64 {
-        self.lock().stack().last().map(|s| s.span).unwrap_or(0)
-    }
-
-    /// End the innermost open phase *of the calling thread*, returning its
-    /// delta. Returns `None` if this thread has no phase open.
-    pub fn end_phase(&self) -> Option<Counters> {
+    /// Pop the calling thread's innermost scope: add its delta to the
+    /// phase totals if it is charged, and close its span.
+    fn pop_scope(&self) {
         let now = self.snapshot();
         let mut g = self.lock();
-        let scope = g.stack().pop();
         let tid = std::thread::current().id();
-        if g.scope_stacks.get(&tid).is_some_and(|s| s.is_empty()) {
+        let Some(stack) = g.scope_stacks.get_mut(&tid) else {
+            return;
+        };
+        let scope = stack.pop();
+        if stack.is_empty() {
             g.scope_stacks.remove(&tid);
         }
-        let scope = scope?;
+        let Some(scope) = scope else {
+            return;
+        };
         let delta = now.since(&scope.start);
         if scope.charge {
             let slot = g.phase_totals.entry(scope.name).or_default();
             *slot = slot.plus(&delta);
         }
-        self.inner.tracer.span_close(scope.span, &delta);
-        Some(delta)
+        if let Some(span) = scope.span {
+            self.inner.tracer.span_close(span, &delta);
+        }
     }
 
-    /// Begin a named phase and return a guard that ends it on drop — the
-    /// `?`-safe form of [`IoStats::begin_phase`]: the phase closes (and its
-    /// trace span stays balanced) on early return, error propagation, and
-    /// unwinding.
+    /// Trace span id of the calling thread's innermost open phase, or 0 if
+    /// none is open (or tracing is disabled). Capture this on a coordinating
+    /// thread and pass it to [`IoStats::trace_span_under`] from workers so
+    /// their spans nest under the coordinating phase.
+    pub fn current_span_id(&self) -> u64 {
+        self.lock()
+            .scope_stacks
+            .get(&std::thread::current().id())
+            .and_then(|stack| stack.last()?.span)
+            .map_or(0, |r| r.id)
+    }
+
+    /// Begin a named phase and return a guard that ends it on drop, adding
+    /// its delta to that phase's running total. Phases nest, and the guard
+    /// closes the phase (keeping its trace span balanced) on early return,
+    /// error propagation, and unwinding.
     pub fn phase_guard(&self, name: impl Into<String>) -> PhaseGuard<'_> {
-        self.begin_phase(name);
+        self.push_scope(name.into(), true, None);
         PhaseGuard {
             stats: self,
-            done: false,
+            active: true,
         }
     }
 
@@ -722,8 +552,8 @@ impl IoStats {
     /// without double-counting the flat per-phase totals. The name closure
     /// is only invoked when tracing is enabled; when disabled the returned
     /// guard is inert and the cost is one flag check.
-    pub fn trace_span(&self, name: impl FnOnce() -> String) -> TraceSpanGuard<'_> {
-        self.trace_span_impl(None, name)
+    pub fn trace_span(&self, name: impl FnOnce() -> String) -> PhaseGuard<'_> {
+        self.trace_span_under(0, name)
     }
 
     /// Like [`IoStats::trace_span`] but with an explicit parent span id
@@ -731,37 +561,15 @@ impl IoStats {
     /// `parent` of 0 falls back to automatic parent resolution. Use from
     /// worker threads so their spans attach under the phase that charges
     /// their I/O rather than whatever another thread has open.
-    pub fn trace_span_under(
-        &self,
-        parent: u64,
-        name: impl FnOnce() -> String,
-    ) -> TraceSpanGuard<'_> {
-        let parent = (parent != 0).then_some(parent);
-        self.trace_span_impl(parent, name)
-    }
-
-    fn trace_span_impl(
-        &self,
-        parent: Option<u64>,
-        name: impl FnOnce() -> String,
-    ) -> TraceSpanGuard<'_> {
-        if !self.inner.tracer.is_enabled() {
-            return TraceSpanGuard {
-                stats: self,
-                active: false,
-            };
+    pub fn trace_span_under(&self, parent: u64, name: impl FnOnce() -> String) -> PhaseGuard<'_> {
+        let active = self.inner.tracer.is_enabled();
+        if active {
+            self.push_scope(name(), false, (parent != 0).then_some(parent));
         }
-        self.push_scope(name(), false, parent);
-        TraceSpanGuard {
+        PhaseGuard {
             stats: self,
-            active: true,
+            active,
         }
-    }
-
-    /// Run `f` inside a named phase. The phase closes even if `f` panics.
-    pub fn phase<R>(&self, name: impl Into<String>, f: impl FnOnce() -> R) -> R {
-        let _guard = self.phase_guard(name);
-        f()
     }
 
     /// Accumulated totals per phase name, in name order.
@@ -774,42 +582,21 @@ impl IoStats {
     }
 }
 
-/// RAII guard for a charged phase; see [`IoStats::phase_guard`].
+/// RAII guard for a charged phase ([`IoStats::phase_guard`]) or a
+/// trace-only span ([`IoStats::trace_span`]); dropping it closes the scope.
 #[must_use = "dropping the guard immediately ends the phase"]
 #[derive(Debug)]
 pub struct PhaseGuard<'a> {
     stats: &'a IoStats,
-    done: bool,
-}
-
-impl PhaseGuard<'_> {
-    /// End the phase now, returning its delta.
-    pub fn end(mut self) -> Option<Counters> {
-        self.done = true;
-        self.stats.end_phase()
-    }
+    /// False for a trace-only span opened while tracing was off: nothing
+    /// was pushed, so nothing is popped.
+    active: bool,
 }
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
-        if !self.done {
-            self.stats.end_phase();
-        }
-    }
-}
-
-/// RAII guard for a trace-only span; see [`IoStats::trace_span`].
-#[must_use = "dropping the guard immediately closes the span"]
-#[derive(Debug)]
-pub struct TraceSpanGuard<'a> {
-    stats: &'a IoStats,
-    active: bool,
-}
-
-impl Drop for TraceSpanGuard<'_> {
-    fn drop(&mut self) {
         if self.active {
-            self.stats.end_phase();
+            self.stats.pop_scope();
         }
     }
 }
@@ -913,12 +700,19 @@ mod tests {
     #[test]
     fn phases_accumulate() {
         let s = IoStats::new();
-        s.phase("scan", || {
+        {
+            let _p = s.phase_guard("scan");
             s.record_read_block(0, 0, 0);
             s.record_read_block(0, 1, 0);
-        });
-        s.phase("scan", || s.record_read_block(0, 2, 0));
-        s.phase("merge", || s.record_write_block(1, 0, 0));
+        }
+        {
+            let _p = s.phase_guard("scan");
+            s.record_read_block(0, 2, 0);
+        }
+        {
+            let _p = s.phase_guard("merge");
+            s.record_write_block(1, 0, 0);
+        }
         let totals = s.phase_totals();
         assert_eq!(totals.len(), 2);
         let scan = totals.iter().find(|(n, _)| n == "scan").unwrap();
@@ -930,15 +724,18 @@ mod tests {
     #[test]
     fn nested_phases_charge_both() {
         let s = IoStats::new();
-        s.begin_phase("outer");
-        s.record_read_block(0, 0, 0);
-        s.begin_phase("inner");
-        s.record_read_block(0, 1, 0);
-        let inner = s.end_phase().unwrap();
-        let outer = s.end_phase().unwrap();
-        assert_eq!(inner.reads, 1);
-        assert_eq!(outer.reads, 2);
-        assert!(s.end_phase().is_none());
+        {
+            let _outer = s.phase_guard("outer");
+            s.record_read_block(0, 0, 0);
+            let _inner = s.phase_guard("inner");
+            s.record_read_block(0, 1, 0);
+        }
+        let totals = s.phase_totals();
+        let reads = |name: &str| totals.iter().find(|(n, _)| n == name).unwrap().1.reads;
+        assert_eq!(reads("inner"), 1);
+        assert_eq!(reads("outer"), 2);
+        assert_eq!(s.current_span_id(), 0);
+        assert!(s.lock().scope_stacks.is_empty(), "both scopes closed");
     }
 
     #[test]
@@ -959,16 +756,10 @@ mod tests {
         let g = totals.iter().find(|(n, _)| n == "guarded").unwrap();
         // Both attempts attributed, including the early-returning one.
         assert_eq!(g.1.reads, 3);
-        assert!(s.end_phase().is_none(), "guards left no phase open");
-    }
-
-    #[test]
-    fn phase_guard_end_returns_delta() {
-        let s = IoStats::new();
-        let g = s.phase_guard("p");
-        s.record_write_block(0, 0, 0);
-        let delta = g.end().unwrap();
-        assert_eq!(delta.writes, 1);
+        assert!(
+            s.lock().scope_stacks.is_empty(),
+            "guards left no phase open"
+        );
     }
 
     #[test]
@@ -1013,7 +804,10 @@ mod tests {
     fn reset_zeroes_everything() {
         let s = IoStats::new();
         s.record_read_block(0, 0, 8);
-        s.phase("p", || s.record_write_block(0, 0, 8));
+        {
+            let _p = s.phase_guard("p");
+            s.record_write_block(0, 0, 8);
+        }
         s.reset();
         assert_eq!(s.snapshot(), Counters::default());
         assert!(s.phase_totals().is_empty());
@@ -1022,12 +816,12 @@ mod tests {
     #[test]
     fn retries_and_corrupt_reads_tracked() {
         let s = IoStats::new();
-        s.record_retry();
-        s.record_retry();
-        s.record_corrupt_read();
+        s.add(Counter::Retries, 1);
+        s.add(Counter::Retries, 1);
+        s.add(Counter::CorruptReads, 1);
         s.paused(|| {
-            s.record_retry();
-            s.record_corrupt_read();
+            s.add(Counter::Retries, 1);
+            s.add(Counter::CorruptReads, 1);
         });
         let c = s.snapshot();
         assert_eq!(c.retries, 2);
@@ -1039,10 +833,10 @@ mod tests {
     #[test]
     fn journal_and_redo_counters_tracked() {
         let s = IoStats::new();
-        s.record_journal_write();
+        s.add(Counter::JournalWrites, 1);
         s.record_redone_ios(7);
         s.paused(|| {
-            s.record_journal_write();
+            s.add(Counter::JournalWrites, 1);
             s.record_redone_ios(5);
         });
         let c = s.snapshot();
@@ -1058,8 +852,8 @@ mod tests {
     #[test]
     fn comparisons_tracked() {
         let s = IoStats::new();
-        s.record_comparisons(10);
-        s.paused(|| s.record_comparisons(5));
+        s.add(Counter::Comparisons, 10);
+        s.paused(|| s.add(Counter::Comparisons, 5));
         assert_eq!(s.snapshot().comparisons, 10);
     }
 
@@ -1067,12 +861,12 @@ mod tests {
     fn physical_and_cache_counters_tracked() {
         let s = IoStats::new();
         s.record_read_block(0, 0, 0);
-        s.record_physical_read();
-        s.record_cache_miss();
+        s.add(Counter::PhysicalReads, 1);
+        s.add(Counter::CacheMisses, 1);
         s.record_read_block(0, 0, 0);
-        s.record_cache_hit();
+        s.add(Counter::CacheHits, 1);
         s.record_write_block(0, 1, 0);
-        s.record_physical_write();
+        s.add(Counter::PhysicalWrites, 1);
         let c = s.snapshot();
         assert_eq!(c.logical_ios(), c.total_ios());
         assert_eq!(c.logical_ios(), 3);
@@ -1100,7 +894,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..250 {
                         s.record_read_block(t, i, 8);
-                        s.record_comparisons(2);
+                        s.add(Counter::Comparisons, 2);
                     }
                 });
             }
@@ -1122,14 +916,13 @@ mod tests {
                     s.record_read_block(0, 0, 0);
                     // Nested phases stay LIFO within this thread even while
                     // other threads open/close their own.
-                    s.phase("inner", || {
-                        s.record_write_block(0, 0, 0);
-                    });
+                    let _inner = s.phase_guard("inner");
+                    s.record_write_block(0, 0, 0);
                 });
             }
         });
         // All scopes closed; totals conserve the global counters.
-        assert!(s.end_phase().is_none());
+        assert!(s.lock().scope_stacks.is_empty());
         let c = s.snapshot();
         assert_eq!(c.reads, 4);
         assert_eq!(c.writes, 4);

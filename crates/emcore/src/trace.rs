@@ -10,9 +10,12 @@
 //!   carrying a monotonic wall-clock duration and the exact
 //!   [`crate::Counters`] delta it charged, with parent ids so nested phases
 //!   (including recursion levels) form a real tree. Point events mark
-//!   faults injected, retried device attempts, journal commits, and
-//!   work-unit redo on crash resume, each attributed to the innermost open
-//!   span.
+//!   faults injected, retried device attempts, journal commits, governor
+//!   squeezes and work-unit redo on crash resume, each attributed to the
+//!   innermost open span. Which spans are open is recorded only on
+//!   [`crate::IoStats`]' per-thread scope stacks, which pick each span's
+//!   parent and each point's span; the tracer numbers, timestamps and
+//!   writes the events, and keeps no list of open spans.
 //! * **Per-file access analytics** — each block transfer is classified as
 //!   sequential or random against the file's previous access, seek
 //!   distances are accumulated, and a 16-bucket read/write heatmap over the
@@ -34,10 +37,11 @@
 //! let ctx = EmContext::new_in_memory(EmConfig::tiny());
 //! let ring = RingSink::new(1024);
 //! ctx.set_trace_sink(Box::new(ring.clone()));
-//! ctx.stats().phase("demo", || {
+//! {
+//!     let _demo = ctx.stats().phase_guard("demo");
 //!     let f = EmFile::from_slice(&ctx, &[1u64, 2, 3]).unwrap();
 //!     f.to_vec().unwrap();
-//! });
+//! }
 //! ctx.finish_trace();
 //! assert!(ring
 //!     .events()
@@ -50,7 +54,6 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use crate::fault::{FaultKind, IoOp};
@@ -363,27 +366,6 @@ impl JsonObj {
     }
 }
 
-fn counters_fields(o: &mut JsonObj, c: &Counters) {
-    o.num_nz("reads", c.reads)
-        .num_nz("writes", c.writes)
-        .num_nz("comparisons", c.comparisons)
-        .num_nz("bytes_read", c.bytes_read)
-        .num_nz("bytes_written", c.bytes_written)
-        .num_nz("retries", c.retries)
-        .num_nz("corrupt_reads", c.corrupt_reads)
-        .num_nz("journal_writes", c.journal_writes)
-        .num_nz("redone_ios", c.redone_ios)
-        .num_nz("physical_reads", c.physical_reads)
-        .num_nz("physical_writes", c.physical_writes)
-        .num_nz("cache_hits", c.cache_hits)
-        .num_nz("cache_misses", c.cache_misses)
-        .num_nz("shed_queries", c.shed_queries)
-        .num_nz("breaker_trips", c.breaker_trips)
-        .num_nz("degraded_answers", c.degraded_answers)
-        .num_nz("mem_denials", c.mem_denials)
-        .num_nz("mem_reclaims", c.mem_reclaims);
-}
-
 impl TraceEvent {
     /// Serialise to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
@@ -412,7 +394,9 @@ impl TraceEvent {
             } => {
                 let mut o = JsonObj::new("close");
                 o.num("id", *id).num("t_us", *t_us).num("dur_us", *dur_us);
-                counters_fields(&mut o, delta);
+                for (key, v) in Counters::NAMES.into_iter().zip(delta.to_array()) {
+                    o.num_nz(key, v);
+                }
                 o.finish()
             }
             TraceEvent::Point { kind, span, t_us } => {
@@ -492,26 +476,7 @@ impl TraceEvent {
                 id: n("id"),
                 t_us: n("t_us"),
                 dur_us: n("dur_us"),
-                delta: Counters {
-                    reads: n("reads"),
-                    writes: n("writes"),
-                    comparisons: n("comparisons"),
-                    bytes_read: n("bytes_read"),
-                    bytes_written: n("bytes_written"),
-                    retries: n("retries"),
-                    corrupt_reads: n("corrupt_reads"),
-                    journal_writes: n("journal_writes"),
-                    redone_ios: n("redone_ios"),
-                    physical_reads: n("physical_reads"),
-                    physical_writes: n("physical_writes"),
-                    cache_hits: n("cache_hits"),
-                    cache_misses: n("cache_misses"),
-                    shed_queries: n("shed_queries"),
-                    breaker_trips: n("breaker_trips"),
-                    degraded_answers: n("degraded_answers"),
-                    mem_denials: n("mem_denials"),
-                    mem_reclaims: n("mem_reclaims"),
-                },
+                delta: Counters::from_array(Counters::NAMES.map(n)),
             }),
             "point" => {
                 let kind = match get_str(&map, "kind")?.as_str() {
@@ -893,25 +858,25 @@ impl Drop for JsonlSink {
 struct TraceState {
     sink: Option<Box<dyn TraceSink>>,
     epoch: Option<Instant>,
+    /// Number of [`Tracer::install`] calls so far: the current trace's
+    /// number, which every [`SpanRef`] carries.
+    trace: u64,
     next_id: u64,
-    /// Open spans in open order. Not a pure stack: concurrent workers
-    /// interleave opens and closes, so each entry remembers the thread
-    /// that opened it and parent resolution is per-thread (see
-    /// [`Tracer::span_open_under`]).
-    open: Vec<OpenSpan>,
     files: BTreeMap<u64, FileTrack>,
 }
 
-/// One span that has been opened but not yet closed.
-#[derive(Debug)]
-struct OpenSpan {
-    id: u64,
-    /// Open timestamp, microseconds since trace begin.
-    t0: u64,
-    /// Thread that opened the span; used to resolve parents so worker
-    /// threads nest under their own spans, not whichever span another
-    /// thread happened to open last.
-    thread: ThreadId,
+/// A span opened by [`Tracer::span_open`]. The tracer keeps no list of
+/// open spans: the scope that opened one holds this (see
+/// [`crate::IoStats`]) and hands it back to [`Tracer::span_close`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpanRef {
+    /// The trace the span was opened in. Span ids restart at 1 on every
+    /// install, so a span only closes into its own trace.
+    pub(crate) trace: u64,
+    /// Span id within that trace.
+    pub(crate) id: u64,
+    /// Open time, microseconds since that trace's epoch.
+    t0_us: u64,
 }
 
 #[derive(Default)]
@@ -925,10 +890,18 @@ impl std::fmt::Debug for TraceState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceState")
             .field("sink", &self.sink.is_some())
+            .field("trace", &self.trace)
             .field("next_id", &self.next_id)
-            .field("open", &self.open)
             .field("files", &self.files.len())
             .finish()
+    }
+}
+
+impl TraceState {
+    fn record(&mut self, ev: &TraceEvent) {
+        if let Some(s) = self.sink.as_mut() {
+            s.record(ev);
+        }
     }
 }
 
@@ -965,23 +938,22 @@ impl Tracer {
 
     /// Install `sink`, enable tracing, and emit [`TraceEvent::Begin`] with
     /// the machine geometry. Replaces any previous sink without flushing
-    /// it; call [`Tracer::finish`] first to end a trace cleanly.
+    /// it; call [`Tracer::finish`] first to end a trace cleanly. Span ids
+    /// restart at 1, and spans still open from an earlier trace never
+    /// close into this one.
     pub fn install(&self, sink: Box<dyn TraceSink>, mem: u64, block: u64) {
         let mut st = self.state();
         st.sink = Some(sink);
         st.epoch = Some(Instant::now());
+        st.trace += 1;
         st.next_id = 0;
-        st.open.clear();
         st.files.clear();
         self.inner.enabled.store(true, Ordering::Relaxed);
-        let ev = TraceEvent::Begin {
+        st.record(&TraceEvent::Begin {
             t_us: 0,
             mem,
             block,
-        };
-        if let Some(s) = st.sink.as_mut() {
-            s.record(&ev);
-        }
+        });
     }
 
     /// End the trace: emit per-file [`TraceEvent::FileSummary`] events and
@@ -1015,85 +987,63 @@ impl Tracer {
         }
         st.sink = None;
         st.epoch = None;
-        st.open.clear();
         st.files.clear();
         self.inner.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Open a span with an explicit parent (`Some(0)` forces a root).
-    /// When `parent` is `None` the parent is resolved in order of
-    /// preference: the calling thread's innermost open span; else the
-    /// oldest open span of any thread (so spans opened from worker
-    /// threads attach under the enclosing charged phase instead of
-    /// becoming spurious roots, which would break delta conservation);
-    /// else 0 (root). Returns the span id, or 0 when tracing is disabled.
-    pub(crate) fn span_open_under(&self, name: &str, parent: Option<u64>) -> u64 {
+    /// Open a span named `name` under the parent `parent` picks, given the
+    /// current trace's number. Returns `None` when tracing is disabled.
+    pub(crate) fn span_open(&self, name: &str, parent: impl FnOnce(u64) -> u64) -> Option<SpanRef> {
         if !self.is_enabled() {
-            return 0;
+            return None;
         }
-        let thread = std::thread::current().id();
         let mut st = self.state();
-        let t_us = now_us(&st);
+        let t0_us = now_us(&st);
         st.next_id += 1;
-        let id = st.next_id;
-        let parent = parent.unwrap_or_else(|| resolve_parent(&st, thread));
-        st.open.push(OpenSpan {
-            id,
-            t0: t_us,
-            thread,
-        });
+        let span = SpanRef {
+            trace: st.trace,
+            id: st.next_id,
+            t0_us,
+        };
         let ev = TraceEvent::SpanOpen {
-            id,
-            parent,
+            id: span.id,
+            parent: parent(st.trace),
             name: name.to_string(),
-            t_us,
+            t_us: t0_us,
         };
-        if let Some(s) = st.sink.as_mut() {
-            s.record(&ev);
-        }
-        id
+        st.record(&ev);
+        Some(span)
     }
 
-    /// Close span `id` with its counter delta. No-op for id 0 (spans opened
-    /// while tracing was disabled) and for ids that are not open — the
-    /// stats layer debug-asserts against unbalanced phases.
-    pub(crate) fn span_close(&self, id: u64, delta: &Counters) {
-        if id == 0 || !self.is_enabled() {
-            return;
-        }
-        let mut st = self.state();
-        let t_us = now_us(&st);
-        // Ids are unique, so search from the innermost end; concurrent
-        // workers interleave closes, so the match need not be last.
-        let Some(idx) = st.open.iter().rposition(|s| s.id == id) else {
-            return;
-        };
-        let t0 = st.open.remove(idx).t0;
-        let ev = TraceEvent::SpanClose {
-            id,
-            t_us,
-            dur_us: t_us.saturating_sub(t0),
-            delta: *delta,
-        };
-        if let Some(s) = st.sink.as_mut() {
-            s.record(&ev);
-        }
-    }
-
-    /// Emit a point event attributed to the calling thread's innermost
-    /// open span (falling back to the oldest open span, then to 0).
-    pub fn point(&self, kind: PointKind) {
+    /// Close `span` with its counter delta. A no-op when tracing is
+    /// disabled or `span` belongs to an earlier trace.
+    pub(crate) fn span_close(&self, span: SpanRef, delta: &Counters) {
         if !self.is_enabled() {
             return;
         }
-        let thread = std::thread::current().id();
+        let mut st = self.state();
+        if st.trace != span.trace {
+            return;
+        }
+        let t_us = now_us(&st);
+        st.record(&TraceEvent::SpanClose {
+            id: span.id,
+            t_us,
+            dur_us: t_us.saturating_sub(span.t0_us),
+            delta: *delta,
+        });
+    }
+
+    /// Emit a point event attributed to the span `span` picks, given the
+    /// current trace's number.
+    pub(crate) fn point(&self, kind: PointKind, span: impl FnOnce(u64) -> u64) {
+        if !self.is_enabled() {
+            return;
+        }
         let mut st = self.state();
         let t_us = now_us(&st);
-        let span = resolve_parent(&st, thread);
-        let ev = TraceEvent::Point { kind, span, t_us };
-        if let Some(s) = st.sink.as_mut() {
-            s.record(&ev);
-        }
+        let span = span(st.trace);
+        st.record(&TraceEvent::Point { kind, span, t_us });
     }
 
     /// Record one block transfer for access-pattern analytics.
@@ -1140,11 +1090,6 @@ impl Tracer {
         self.inner.peak_blocks.load(Ordering::Relaxed)
     }
 
-    /// Number of currently open spans (0 when disabled).
-    pub fn open_spans(&self) -> usize {
-        self.state().open.len()
-    }
-
     /// Access statistics recorded so far for `file`, if any.
     pub fn file_access(&self, file: u64) -> Option<FileAccess> {
         self.state().files.get(&file).map(|t| t.access.clone())
@@ -1157,21 +1102,10 @@ fn now_us(st: &TraceState) -> u64 {
         .unwrap_or(0)
 }
 
-/// Innermost open span of `thread`, else the oldest open span of any
-/// thread, else 0.
-fn resolve_parent(st: &TraceState, thread: ThreadId) -> u64 {
-    st.open
-        .iter()
-        .rev()
-        .find(|s| s.thread == thread)
-        .or_else(|| st.open.first())
-        .map(|s| s.id)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::IoStats;
 
     fn roundtrip(ev: TraceEvent) {
         let line = ev.to_json();
@@ -1196,26 +1130,9 @@ mod tests {
             id: 3,
             t_us: 400,
             dur_us: 383,
-            delta: Counters {
-                reads: 10,
-                writes: 4,
-                comparisons: 99,
-                bytes_read: 1 << 40,
-                bytes_written: 7,
-                retries: 2,
-                corrupt_reads: 1,
-                journal_writes: 3,
-                redone_ios: 5,
-                physical_reads: 8,
-                physical_writes: 4,
-                cache_hits: 2,
-                cache_misses: 8,
-                shed_queries: 1,
-                breaker_trips: 1,
-                degraded_answers: 6,
-                mem_denials: 2,
-                mem_reclaims: 1,
-            },
+            // Every counter distinct and nonzero, so a key the encoder
+            // drops or the parser swaps cannot round-trip.
+            delta: Counters::from_array(std::array::from_fn(|i| (i as u64 + 1) * 1_000_003)),
         });
         roundtrip(TraceEvent::Point {
             kind: PointKind::Retry { op: IoOp::Write },
@@ -1316,83 +1233,164 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tracer_spans_nest_and_attribute_points() {
-        let tracer = Tracer::default();
-        assert!(!tracer.is_enabled());
-        assert_eq!(tracer.span_open_under("ignored", None), 0);
-        let ring = RingSink::new(0);
-        tracer.install(Box::new(ring.clone()), 4096, 64);
-        let a = tracer.span_open_under("a", None);
-        let b = tracer.span_open_under("b", None);
-        tracer.point(PointKind::Retry { op: IoOp::Read });
-        tracer.span_close(b, &Counters::default());
-        let c = tracer.span_open_under("c", None);
-        tracer.span_close(c, &Counters::default());
-        tracer.span_close(a, &Counters::default());
-        tracer.finish();
-        let evs = ring.events();
-        let parent_of = |name: &str| {
-            evs.iter()
-                .find_map(|e| match e {
-                    TraceEvent::SpanOpen {
-                        name: n, parent, ..
-                    } if n == name => Some(*parent),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(parent_of("a"), 0);
-        assert_eq!(parent_of("b"), a);
-        assert_eq!(parent_of("c"), a);
-        let point_span = evs
-            .iter()
+    /// The `SpanOpen` parent of span `id`, and the span of the first point.
+    fn parent_of(evs: &[TraceEvent], want: u64) -> u64 {
+        evs.iter()
+            .find_map(|e| match e {
+                TraceEvent::SpanOpen { id, parent, .. } if *id == want => Some(*parent),
+                _ => None,
+            })
+            .unwrap()
+    }
+
+    fn first_point_span(evs: &[TraceEvent]) -> u64 {
+        evs.iter()
             .find_map(|e| match e {
                 TraceEvent::Point { span, .. } => Some(*span),
                 _ => None,
             })
-            .unwrap();
-        assert_eq!(point_span, b);
+            .unwrap()
+    }
+
+    #[test]
+    fn tracer_spans_nest_and_attribute_points() {
+        let stats = IoStats::new();
+        let tracer = stats.tracer();
+        assert!(!tracer.is_enabled());
+        {
+            let _ignored = stats.phase_guard("ignored");
+            assert_eq!(stats.current_span_id(), 0, "no span while disabled");
+        }
+        let ring = RingSink::new(0);
+        tracer.install(Box::new(ring.clone()), 4096, 64);
+        let (a, b, c);
+        {
+            let _a = stats.phase_guard("a");
+            a = stats.current_span_id();
+            {
+                let _b = stats.trace_span(|| "b".into());
+                b = stats.current_span_id();
+                stats.trace_point(PointKind::Retry { op: IoOp::Read });
+            }
+            let _c = stats.phase_guard("c");
+            c = stats.current_span_id();
+        }
+        tracer.finish();
+        let evs = ring.events();
+        assert_eq!(parent_of(&evs, a), 0);
+        assert_eq!(parent_of(&evs, b), a);
+        assert_eq!(parent_of(&evs, c), a);
+        assert_eq!(first_point_span(&evs), b);
         assert!(matches!(evs.last(), Some(TraceEvent::End { .. })));
         assert!(!tracer.is_enabled());
     }
 
     #[test]
     fn worker_thread_spans_nest_under_oldest_open_span() {
-        let tracer = Tracer::default();
+        let stats = IoStats::new();
+        let tracer = stats.tracer();
         let ring = RingSink::new(0);
         tracer.install(Box::new(ring.clone()), 4096, 64);
-        let root = tracer.span_open_under("root", None);
+        let root_guard = stats.phase_guard("root");
+        let root = stats.current_span_id();
         // A worker with no spans of its own attaches under the oldest
-        // open span (the coordinating phase), not at the root level.
-        let (w_outer, w_inner) = std::thread::scope(|s| {
+        // open span (the coordinating phase), not at the root level, and
+        // so do its points.
+        let (w_outer, w_inner, pinned_w) = std::thread::scope(|s| {
             s.spawn(|| {
-                let outer = tracer.span_open_under("w-outer", None);
-                let inner = tracer.span_open_under("w-inner", None);
-                tracer.span_close(inner, &Counters::default());
-                tracer.span_close(outer, &Counters::default());
-                (outer, inner)
+                let _outer = stats.trace_span(|| "w-outer".into());
+                let outer = stats.current_span_id();
+                let _inner = stats.trace_span(|| "w-inner".into());
+                let inner = stats.current_span_id();
+                // An explicit parent always wins over the thread's own.
+                let _pinned = stats.trace_span_under(root, || "pinned-w".into());
+                (outer, inner, stats.current_span_id())
             })
             .join()
             .unwrap()
         });
-        // Meanwhile an explicit parent always wins.
-        let pinned = tracer.span_open_under("pinned", Some(root));
-        tracer.span_close(pinned, &Counters::default());
-        tracer.span_close(root, &Counters::default());
+        std::thread::scope(|s| {
+            s.spawn(|| stats.trace_point(PointKind::Retry { op: IoOp::Write }));
+        });
+        {
+            let _pinned = stats.trace_span_under(root, || "pinned".into());
+            assert_eq!(parent_of(&ring.events(), stats.current_span_id()), root);
+        }
+        drop(root_guard);
         tracer.finish();
         let evs = ring.events();
-        let parent_of = |want: u64| {
-            evs.iter()
-                .find_map(|e| match e {
-                    TraceEvent::SpanOpen { id, parent, .. } if *id == want => Some(*parent),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        assert_eq!(parent_of(w_outer), root, "worker falls back to oldest open");
-        assert_eq!(parent_of(w_inner), w_outer, "same-thread nesting wins");
-        assert_eq!(parent_of(pinned), root);
+        assert_eq!(
+            parent_of(&evs, w_outer),
+            root,
+            "worker falls back to oldest open"
+        );
+        assert_eq!(
+            parent_of(&evs, w_inner),
+            w_outer,
+            "same-thread nesting wins"
+        );
+        assert_eq!(parent_of(&evs, pinned_w), root);
+        assert_eq!(
+            first_point_span(&evs),
+            root,
+            "a worker's point joins the oldest span"
+        );
+    }
+
+    #[test]
+    fn span_open_at_finish_never_closes_into_the_next_trace() {
+        let stats = IoStats::new();
+        let tracer = stats.tracer();
+        let first = RingSink::new(0);
+        let second = RingSink::new(0);
+        let step = std::sync::Barrier::new(2);
+        tracer.install(Box::new(first.clone()), 4096, 64);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Span 1 of the first trace, still open when it finishes.
+                let stale = stats.phase_guard("stale");
+                stats.record_read_block(0, 0, 0);
+                step.wait();
+                step.wait();
+                // Closes while the second trace's span 1 is open.
+                drop(stale);
+                step.wait();
+            });
+            step.wait();
+            tracer.finish();
+            tracer.install(Box::new(second.clone()), 4096, 64);
+            let fresh = stats.phase_guard("fresh");
+            stats.record_write_block(0, 0, 0);
+            assert_eq!(stats.current_span_id(), 1, "ids restart at 1");
+            step.wait();
+            step.wait();
+            stats.record_write_block(0, 1, 0);
+            drop(fresh);
+        });
+        tracer.finish();
+        let closes: Vec<(u64, Counters)> = second
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::SpanClose { id, delta, .. } => Some((id, delta)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closes.len(), 1, "{closes:?}");
+        let (id, delta) = closes[0];
+        assert_eq!(id, 1);
+        assert_eq!(
+            (delta.reads, delta.writes),
+            (0, 2),
+            "the fresh span's own delta"
+        );
+        assert!(
+            !first
+                .events()
+                .iter()
+                .any(|e| matches!(e, TraceEvent::SpanClose { .. })),
+            "the stale span stays unclosed in its own trace"
+        );
     }
 
     #[test]

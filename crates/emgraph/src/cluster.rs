@@ -60,7 +60,7 @@ use emsort::{external_sort, form_runs_load_sort, SortedRuns};
 use crate::build::Graph;
 use crate::edge::Edge;
 
-/// Options for [`crate::cluster`].
+/// Options for [`crate::cluster()`].
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
     /// Maximum label-propagation rounds (the round loop stops early
@@ -81,7 +81,7 @@ impl Default for ClusterOptions {
     }
 }
 
-/// The result of [`crate::cluster`].
+/// The result of [`crate::cluster()`].
 #[derive(Debug)]
 pub struct Clustering {
     /// Final vertex→label assignment (indexed by vertex id).

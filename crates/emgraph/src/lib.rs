@@ -17,7 +17,7 @@
 //!    adjacency all fall out of the same sort. Symmetrized edges go
 //!    straight into sorted runs, and the dedup pass that emits the CSR
 //!    offset index for free reads the runs' merge as a stream.
-//! 2. **Cluster** ([`cluster`]): synchronous label propagation with an
+//! 2. **Cluster** ([`cluster()`]): synchronous label propagation with an
 //!    optional hard cluster-size cap. Every round streams the canonical
 //!    edge file sequentially; proposals depend only on each vertex's
 //!    round-start neighbor-label multiset, so the labeling is

@@ -41,7 +41,7 @@ impl CmpCounter {
 /// rank (`ranks` ascending, 1-based, within `[1, data.len()]`), counting
 /// every key comparison. Returns the selected values.
 ///
-/// `O(N lg K)` comparisons — optimal by [7].
+/// `O(N lg K)` comparisons — optimal by \[7\].
 pub fn multi_select_counting<K: Ord + Copy>(
     data: &mut [K],
     ranks: &[u64],

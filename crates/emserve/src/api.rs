@@ -21,7 +21,7 @@ use crate::shard::RoutedTicket;
 pub enum ServiceTicket<T: Record> {
     /// A single-store [`QueryServer`] answer.
     Local(Ticket<T>),
-    /// A sharded [`Router`] scatter/gather answer.
+    /// A sharded [`crate::Router`] scatter/gather answer.
     Routed(RoutedTicket<T>),
 }
 

@@ -67,6 +67,6 @@ pub use index::{approx_from_skeleton, AnswerStats, Segment, SplitterIndex};
 pub use protocol::{serve_session, Request, Response, PROTOCOL_VERSION};
 pub use server::{
     BreakerState, Client, DatasetHealth, QueryAnswer, QueryOptions, QueryServer, ServeOptions,
-    ServeOptionsBuilder, ServeReport, Ticket,
+    ServeReport, Ticket,
 };
 pub use shard::{shard_fleet_in_memory, shard_fleet_on_disk, RoutedTicket, Router};

@@ -362,7 +362,7 @@ struct Pending {
 }
 
 /// Drive a scripted session against any [`QueryService`] — a
-/// [`QueryServer`] for one store, a [`crate::Router`] for a shard fleet;
+/// [`crate::QueryServer`] for one store, a [`crate::Router`] for a shard fleet;
 /// the wire behaviour is identical. Returns the service's report after
 /// the session (for a router: the merged fleet report).
 pub fn serve_session<S: QueryService<u64>>(

@@ -152,7 +152,21 @@ pub struct DatasetHealth {
     pub lease_granted_words: u64,
 }
 
-/// Tunables for [`QueryServer`].
+/// Tunables for [`QueryServer`]. Every combination of fields is valid
+/// (degenerate values like a zero queue depth are clamped where they are
+/// consumed), so set the ones you need and take the rest from `Default`:
+///
+/// ```
+/// use emserve::ServeOptions;
+/// use std::time::Duration;
+/// let opts = ServeOptions {
+///     batch_window: Duration::from_millis(5),
+///     degraded: true,
+///     ..ServeOptions::default()
+/// };
+/// assert_eq!(opts.batch_window, Duration::from_millis(5));
+/// assert!(opts.degraded);
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Most queries coalesced into one batch.
@@ -205,116 +219,6 @@ impl Default for ServeOptions {
             lease_floor: 0,
             lease_weight: 1,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Start building options from the defaults, one named setter per
-    /// field (the [`emcore::EmConfig::builder`] idiom). Struct-literal
-    /// construction via `..ServeOptions::default()` keeps working.
-    ///
-    /// ```
-    /// use emserve::ServeOptions;
-    /// use std::time::Duration;
-    /// let opts = ServeOptions::builder()
-    ///     .batch_window(Duration::from_millis(5))
-    ///     .degraded(true)
-    ///     .build();
-    /// assert_eq!(opts.batch_window, Duration::from_millis(5));
-    /// assert!(opts.degraded);
-    /// ```
-    pub fn builder() -> ServeOptionsBuilder {
-        ServeOptionsBuilder {
-            opts: ServeOptions::default(),
-        }
-    }
-}
-
-/// Named-parameter construction of [`ServeOptions`]; see
-/// [`ServeOptions::builder`]. `build` is infallible — every combination
-/// of fields is a valid configuration (degenerate values like a zero
-/// queue depth are clamped where they are consumed).
-#[derive(Debug, Clone, Copy)]
-pub struct ServeOptionsBuilder {
-    opts: ServeOptions,
-}
-
-impl ServeOptionsBuilder {
-    /// Most queries coalesced into one batch.
-    pub fn batch_max(mut self, v: usize) -> Self {
-        self.opts.batch_max = v;
-        self
-    }
-
-    /// How long the scheduler waits for more queries after the first.
-    pub fn batch_window(mut self, v: Duration) -> Self {
-        self.opts.batch_window = v;
-        self
-    }
-
-    /// Bound of the request channel (admission control).
-    pub fn queue_depth(mut self, v: usize) -> Self {
-        self.opts.queue_depth = v;
-        self
-    }
-
-    /// Refine the splitter index after every answered batch.
-    pub fn refine(mut self, v: bool) -> Self {
-        self.opts.refine = v;
-        self
-    }
-
-    /// Multi-select options used for every pass.
-    pub fn select(mut self, v: MsOptions) -> Self {
-        self.opts.select = v;
-        self
-    }
-
-    /// Server-level batch retry policy.
-    pub fn retry(mut self, v: RetryPolicy) -> Self {
-        self.opts.retry = v;
-        self
-    }
-
-    /// Consecutive fully-failed fault batches before the breaker opens.
-    pub fn breaker_threshold(mut self, v: u32) -> Self {
-        self.opts.breaker_threshold = v;
-        self
-    }
-
-    /// Cooldown before an open breaker half-opens and is probed.
-    pub fn probe_cooldown(mut self, v: Duration) -> Self {
-        self.opts.probe_cooldown = v;
-        self
-    }
-
-    /// Default per-query deadline (`None` = no deadline).
-    pub fn deadline(mut self, v: Option<Duration>) -> Self {
-        self.opts.deadline = v;
-        self
-    }
-
-    /// Default degraded-mode flag.
-    pub fn degraded(mut self, v: bool) -> Self {
-        self.opts.degraded = v;
-        self
-    }
-
-    /// Per-dataset memory-lease floor, in words (0 disables leasing).
-    pub fn lease_floor(mut self, v: usize) -> Self {
-        self.opts.lease_floor = v;
-        self
-    }
-
-    /// Fairness weight of each dataset's lease.
-    pub fn lease_weight(mut self, v: u32) -> Self {
-        self.opts.lease_weight = v;
-        self
-    }
-
-    /// The finished options.
-    pub fn build(self) -> ServeOptions {
-        self.opts
     }
 }
 
@@ -1235,7 +1139,6 @@ impl<T: Record> Scheduler<T> {
         match idx.answer_approx(&q.ranks) {
             Ok(Some((values, bound))) => {
                 self.report.degraded += 1;
-                self.ctx.stats().record_degraded_answer();
                 // Record before the reply: the channel's synchronization
                 // then guarantees a resolved ticket's e2e sample is
                 // visible to any scrape the client takes afterwards.
@@ -1292,7 +1195,6 @@ impl<T: Record> Scheduler<T> {
                         continue;
                     }
                     self.report.shed += 1;
-                    self.ctx.stats().record_shed_query();
                     self.observe_e2e(name, q.submitted_us, Outcome::Shed);
                     let _ = q.reply.send(Err(EmError::DeadlineExceeded {
                         deadline_us: d_us,
@@ -1359,7 +1261,6 @@ impl<T: Record> Scheduler<T> {
                 b.state = BreakerState::Open;
                 b.since_us = now_us;
                 self.report.breaker_trips += 1;
-                self.ctx.stats().record_breaker_trip();
                 self.note_breaker(name, BreakerState::Open, true, false);
             }
         }
@@ -1867,47 +1768,6 @@ mod tests {
         assert_eq!(shed + degraded, report.shed + report.degraded);
         drop(client);
         server.shutdown().unwrap();
-    }
-
-    #[test]
-    fn options_builder_matches_struct_literal_construction() {
-        let built = ServeOptions::builder()
-            .batch_max(8)
-            .batch_window(Duration::from_millis(7))
-            .queue_depth(16)
-            .refine(false)
-            .select(MsOptions::default())
-            .retry(RetryPolicy::NONE)
-            .breaker_threshold(5)
-            .probe_cooldown(Duration::from_millis(9))
-            .deadline(Some(Duration::from_secs(1)))
-            .degraded(true)
-            .lease_floor(1024)
-            .lease_weight(3)
-            .build();
-        // Struct-literal construction with functional update must keep
-        // compiling — the builder is additive, not a replacement.
-        let literal = ServeOptions {
-            batch_max: 8,
-            batch_window: Duration::from_millis(7),
-            queue_depth: 16,
-            refine: false,
-            select: MsOptions::default(),
-            retry: RetryPolicy::NONE,
-            breaker_threshold: 5,
-            probe_cooldown: Duration::from_millis(9),
-            deadline: Some(Duration::from_secs(1)),
-            degraded: true,
-            lease_floor: 1024,
-            lease_weight: 3,
-        };
-        let partial = ServeOptions {
-            batch_max: 8,
-            ..ServeOptions::default()
-        };
-        assert_eq!(format!("{built:?}"), format!("{literal:?}"));
-        assert_eq!(partial.batch_max, 8);
-        assert_eq!(partial.queue_depth, ServeOptions::default().queue_depth);
     }
 
     #[test]

@@ -660,10 +660,11 @@ mod tests {
     fn killing_one_shard_degrades_only_its_key_range() {
         use emcore::FaultPlan;
         let (rc, scs) = shard_fleet_in_memory(EmConfig::tiny(), 4);
-        let opts = ServeOptions::builder()
-            .degraded(true)
-            .retry(emcore::RetryPolicy::NONE)
-            .build();
+        let opts = ServeOptions {
+            degraded: true,
+            retry: emcore::RetryPolicy::NONE,
+            ..Default::default()
+        };
         let mut router = Router::<u64>::start(&rc, &scs, opts).unwrap();
         let n = 2000u64;
         router.register("ds", shuffled(n, 17)).unwrap();

@@ -145,7 +145,7 @@ fn check<T: Draw>(case_no: usize, case: Case) -> (bool, bool) {
     let mut runs = writer.finish().unwrap();
     let formed = runs.len();
     if let Some(words) = case.squeeze {
-        ctx.set_mem_budget(words).unwrap();
+        ctx.set_mem_budget(words);
     }
     let held = ctx
         .mem()
@@ -163,7 +163,7 @@ fn check<T: Draw>(case_no: usize, case: Case) -> (bool, bool) {
     drop(stream);
     drop(held);
     let streamed = ctx.stats().snapshot().since(&before).total_ios();
-    ctx.set_mem_budget(case.m).unwrap();
+    ctx.set_mem_budget(case.m);
 
     assert_eq!(got, want, "case {case_no} {case:?}: stream differs");
     let mut keys: Vec<T::Key> = data.iter().map(Record::key).collect();

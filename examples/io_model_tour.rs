@@ -9,7 +9,7 @@ use emcore::KeyValue;
 
 fn main() -> Result<()> {
     // --- 1. The machine: memory M, block size B (in records). ---
-    let cfg = EmConfig::builder().mem(4096).block(64).build()?;
+    let cfg = EmConfig::new(4096, 64)?.with_workers(1);
     let ctx = EmContext::new_in_memory(cfg);
     println!("machine: {cfg}");
 

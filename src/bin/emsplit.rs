@@ -212,13 +212,12 @@ fn write_pairs(path: &Path, pairs: &[(u64, u64)]) {
 }
 
 fn config(args: &Args) -> EmConfig {
-    EmConfig::builder()
-        .mem(args.flag_u64("mem", 65536) as usize)
-        .block(args.flag_u64("block", 1024) as usize)
-        .workers(args.flag_u64("workers", 1) as usize)
-        .cache_blocks(args.flag_u64("cache-blocks", 0) as usize)
-        .build()
+    let mem = args.flag_u64("mem", 65536) as usize;
+    let block = args.flag_u64("block", 1024) as usize;
+    EmConfig::new(mem, block)
         .unwrap_or_else(|e| die(&format!("bad geometry: {e}")))
+        .with_workers(args.flag_u64("workers", 1) as usize)
+        .with_cache_blocks(args.flag_u64("cache-blocks", 0) as usize)
 }
 
 fn machine(args: &Args) -> EmContext {
@@ -243,16 +242,12 @@ fn setup_squeeze(ctx: &EmContext, args: &Args) {
     let ctx = ctx.clone();
     std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(at));
-        match ctx.set_mem_budget(target) {
-            Ok(got) => eprintln!("[governor] squeezed budget to {got} words"),
-            Err(e) => eprintln!("[governor] squeeze failed: {e}"),
-        }
+        let got = ctx.set_mem_budget(target);
+        eprintln!("[governor] squeezed budget to {got} words");
         if restore > 0 {
             std::thread::sleep(std::time::Duration::from_millis(restore));
-            match ctx.set_mem_budget(full) {
-                Ok(_) => eprintln!("[governor] restored budget to {full} words"),
-                Err(e) => eprintln!("[governor] restore failed: {e}"),
-            }
+            ctx.set_mem_budget(full);
+            eprintln!("[governor] restored budget to {full} words");
         }
     });
 }
@@ -573,25 +568,25 @@ fn main() -> ExitCode {
             });
             let defaults = ServeOptions::default();
             let deadline_ms = args.flag_u64("deadline-ms", 0);
-            let opts = ServeOptions::builder()
-                .batch_max(args.flag_u64("batch-max", defaults.batch_max as u64) as usize)
-                .batch_window(std::time::Duration::from_millis(args.flag_u64(
-                    "batch-window-ms",
-                    defaults.batch_window.as_millis() as u64,
-                )))
-                .queue_depth(args.flag_u64("queue-depth", defaults.queue_depth as u64) as usize)
-                .refine(!args.has("no-refine"))
-                .deadline((deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)))
-                .degraded(args.has("degraded"))
-                .breaker_threshold(
-                    args.flag_u64("breaker-threshold", defaults.breaker_threshold as u64) as u32,
-                )
-                .probe_cooldown(std::time::Duration::from_millis(
+            let opts = ServeOptions {
+                batch_max: args.flag_u64("batch-max", defaults.batch_max as u64) as usize,
+                batch_window: std::time::Duration::from_millis(
+                    args.flag_u64("batch-window-ms", defaults.batch_window.as_millis() as u64),
+                ),
+                queue_depth: args.flag_u64("queue-depth", defaults.queue_depth as u64) as usize,
+                refine: !args.has("no-refine"),
+                deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
+                degraded: args.has("degraded"),
+                breaker_threshold: args
+                    .flag_u64("breaker-threshold", defaults.breaker_threshold as u64)
+                    as u32,
+                probe_cooldown: std::time::Duration::from_millis(
                     args.flag_u64("probe-ms", defaults.probe_cooldown.as_millis() as u64),
-                ))
-                .lease_floor(args.flag_u64("lease-floor", 0) as usize)
-                .lease_weight(args.flag_u64("lease-weight", 1) as u32)
-                .build();
+                ),
+                lease_floor: args.flag_u64("lease-floor", 0) as usize,
+                lease_weight: args.flag_u64("lease-weight", 1) as u32,
+                ..Default::default()
+            };
             let stdin = std::io::stdin();
             let report = match &shard_ctxs {
                 Some(scs) => {

@@ -29,7 +29,7 @@
 //! * [`emgraph`] — semi-external graph partitioning and clustering on
 //!   top of the stack: canonical edge files ([`emgraph::build_graph`]),
 //!   crash-recoverable size-capped label propagation
-//!   ([`emgraph::cluster`]), degree/cluster bucketing via approximate
+//!   ([`emgraph::cluster()`]), degree/cluster bucketing via approximate
 //!   K-partitioning, and clustering-as-dataset serve integration.
 //!
 //! ## Quickstart

@@ -54,10 +54,10 @@ fn ratchet(ctx: &EmContext, schedule: &[usize]) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         for w in schedule {
             std::thread::sleep(std::time::Duration::from_millis(2));
-            let _ = ctx.set_mem_budget(w);
+            ctx.set_mem_budget(w);
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
-        let _ = ctx.set_mem_budget(full);
+        ctx.set_mem_budget(full);
     })
 }
 
@@ -72,7 +72,7 @@ fn sort_digest_invariant_under_static_squeeze_both_backends() {
     for ctx in backends() {
         let full = ctx.config().mem_capacity();
         for budget in [full, full / 2, full / 4, 3 * full / 4] {
-            ctx.set_mem_budget(budget).unwrap();
+            ctx.set_mem_budget(budget);
             let f = ctx
                 .stats()
                 .paused(|| EmFile::from_slice(&ctx, &data))
@@ -81,7 +81,7 @@ fn sort_digest_invariant_under_static_squeeze_both_backends() {
             let out = ctx.oracle(|| sorted.to_vec()).unwrap();
             assert_eq!(fnv(&out), oracle, "budget={budget}");
         }
-        ctx.set_mem_budget(full).unwrap();
+        ctx.set_mem_budget(full);
     }
 }
 
@@ -126,10 +126,10 @@ fn multi_select_answers_invariant_under_squeeze() {
         // Static squeezes: the per-pass splitter count / fan-out narrows,
         // the answers must not move.
         for budget in [full / 2, full / 4] {
-            ctx.set_mem_budget(budget).unwrap();
+            ctx.set_mem_budget(budget);
             assert_eq!(multi_select(&f, &ranks).unwrap(), oracle, "budget={budget}");
         }
-        ctx.set_mem_budget(full).unwrap();
+        ctx.set_mem_budget(full);
 
         // Mid-run ratchet (lenient backend only: selection allocates
         // mid-phase, so a strict mid-run squeeze may — correctly — reject
@@ -163,7 +163,7 @@ fn apsplit_partitioning_valid_under_squeeze() {
 
         // Half budget: the recursion frontier narrows, the output must
         // still verify against the spec.
-        ctx.set_mem_budget(full / 2).unwrap();
+        ctx.set_mem_budget(full / 2);
         let parts = approx_partitioning(&f, &spec).unwrap();
         let rep = verify_partitioning(&parts, &spec).unwrap();
         assert!(rep.ok, "budget={}: {rep:?}", full / 2);
@@ -173,7 +173,7 @@ fn apsplit_partitioning_valid_under_squeeze() {
         // splitters). The contract is a *typed* rejection — never a
         // panic; on the lenient backend it must still produce a valid
         // partitioning.
-        ctx.set_mem_budget(full / 4).unwrap();
+        ctx.set_mem_budget(full / 4);
         match approx_partitioning(&f, &spec) {
             Ok(parts) => {
                 assert!(verify_partitioning(&parts, &spec).unwrap().ok);
@@ -183,7 +183,7 @@ fn apsplit_partitioning_valid_under_squeeze() {
             }
             Err(e) => panic!("expected MemoryExceeded, got {e}"),
         }
-        ctx.set_mem_budget(full).unwrap();
+        ctx.set_mem_budget(full);
         let again = approx_partitioning(&f, &spec).unwrap();
         assert_eq!(
             again.iter().map(|p| p.len()).collect::<Vec<_>>(),
@@ -246,7 +246,7 @@ fn squeeze_inside_killed_job_resumes_with_bounded_rework() {
         .unwrap();
 
     // Squeeze mid-formation, then kill the job with a fatal fault.
-    ctx.set_mem_budget(full / 4).unwrap();
+    ctx.set_mem_budget(full / 4);
     let plan = FaultPlan::new(0).fatal_at(60);
     ctx.install_fault_plan(plan.clone());
     let mut manifest = SortManifest::new(&ctx, None);
@@ -257,7 +257,7 @@ fn squeeze_inside_killed_job_resumes_with_bounded_rework() {
     // squeezed runs are fine — the merge takes any run lengths), only the
     // interrupted unit is redone.
     plan.clear_crash();
-    ctx.set_mem_budget(full).unwrap();
+    ctx.set_mem_budget(full);
     let sorted = run_recoverable(&ctx, &mut SortJob::new(&f, &mut manifest)).unwrap();
     assert_eq!(ctx.oracle(|| sorted.to_vec()).unwrap(), want);
 
@@ -287,7 +287,7 @@ fn governor_lease_fairness_under_contention() {
     assert_eq!(b.granted(), 512 + surplus / 4);
 
     // Squeeze: floors hold, surplus shrinks proportionally.
-    ctx.set_mem_budget(2048).unwrap();
+    ctx.set_mem_budget(2048);
     assert_eq!(a.granted(), 512 + 1024 * 3 / 4);
     assert_eq!(b.granted(), 512 + 1024 / 4);
     assert!(a.granted() + b.granted() <= 2048);
@@ -297,6 +297,6 @@ fn governor_lease_fairness_under_contention() {
         Err(EmError::MemoryExceeded { .. }) => {}
         other => panic!("expected admission denial, got {other:?}"),
     }
-    ctx.set_mem_budget(4096).unwrap();
+    ctx.set_mem_budget(4096);
     assert_eq!(gov.snapshot().denials, 1);
 }

@@ -209,11 +209,12 @@ fn fatal_fault_on_one_dataset_leaves_others_serving() {
     sorted_b.sort_unstable();
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .breaker_threshold(2)
-            .probe_cooldown(Duration::from_millis(5))
-            .retry(RetryPolicy::NONE)
-            .build(),
+        ServeOptions {
+            breaker_threshold: 2,
+            probe_cooldown: Duration::from_millis(5),
+            retry: RetryPolicy::NONE,
+            ..Default::default()
+        },
     )
     .unwrap();
     let client = server.client().unwrap();
@@ -357,10 +358,11 @@ fn metrics_scrape_stays_conserved_during_fault_storm() {
     let n = 2000u64;
     let mut server = QueryServer::<u64>::start(
         &ctx,
-        ServeOptions::builder()
-            .breaker_threshold(2)
-            .probe_cooldown(Duration::from_millis(5))
-            .build(),
+        ServeOptions {
+            breaker_threshold: 2,
+            probe_cooldown: Duration::from_millis(5),
+            ..Default::default()
+        },
     )
     .unwrap();
     let client = server.client().unwrap();

@@ -170,12 +170,7 @@ fn traced_resume_attributes_redone_work() {
 fn parallel_sort_trace_is_parse_clean_and_nested() {
     let trace_path =
         std::env::temp_dir().join(format!("em-trace-parallel-{}.jsonl", std::process::id()));
-    let cfg = EmConfig::builder()
-        .mem(256)
-        .block(16)
-        .workers(4)
-        .build()
-        .unwrap();
+    let cfg = EmConfig::new(256, 16).unwrap().with_workers(4);
     let c = EmContext::new_on_disk_temp(cfg).unwrap();
     c.trace_to_file(&trace_path).unwrap();
 
