@@ -61,21 +61,20 @@ pub struct MsOptions {
 }
 
 /// The base-case capacity `m`: how many ranks one linear-I/O base case can
-/// handle. For the pruned engine `m = min(Θ(M/w), 2f)` (past `≈ f` ranks,
-/// splitting via multi-partition becomes cheaper); for the paper-faithful
-/// intermixed engine `m = min(Θ(M/w), f/2)`, which keeps the intermixed
-/// instance `|D| ≤ Σ_i bucket(r_i)` at `O(n)`. `f` is the splitter
-/// fan-out bound — `Θ(M/log(N/M))` under the deterministic sampling
-/// substitute; see DESIGN.md.
+/// handle. For the pruned engine `m = max(M'/6, 8)`, where `M'` is the
+/// live budget in words (its bookkeeping is about three words per rank,
+/// so a governor squeeze narrows the base case); for the paper-faithful
+/// intermixed engine `m` is [`crate::max_groups`], the `Θ(M/w)` groups one
+/// intermixed selection can run. `base_capacity_override` replaces `m`,
+/// clamped to `[1, max_groups]`.
 pub fn base_case_capacity<T: Record>(input: &EmFile<T>, opts: &MsOptions) -> usize {
     base_case_capacity_n::<T>(input.ctx(), input.len(), opts)
 }
 
-/// [`base_case_capacity`] from an explicit input size.
-pub fn base_case_capacity_n<T: Record>(ctx: &EmContext, n: u64, opts: &MsOptions) -> usize {
+/// [`base_case_capacity`] from an explicit input size, which the capacity
+/// does not depend on.
+pub fn base_case_capacity_n<T: Record>(ctx: &EmContext, _n: u64, opts: &MsOptions) -> usize {
     let groups_cap = max_groups::<T>(ctx.config());
-    let f = max_deterministic_fanout_n::<T>(ctx, n);
-    let _ = f;
     let m = match opts.base_case {
         // Pruned bookkeeping is ~3 words per rank; cap well inside the
         // *live* budget, so a governor squeeze narrows the base case.

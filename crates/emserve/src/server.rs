@@ -1307,7 +1307,6 @@ impl<T: Record> Scheduler<T> {
                         self.observe_e2e(name, q.submitted_us, Outcome::Failed);
                         let _ = q.reply.send(Err(e.clone()));
                     }
-                    let _ = n;
                     (answered, faults)
                 } else {
                     let right = queries.split_off(queries.len() / 2);

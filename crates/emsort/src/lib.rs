@@ -7,11 +7,10 @@
 //! baseline every experiment compares against.
 //!
 //! Components:
-//! * [`RunWriter`] / [`form_runs_replacement_selection`] — run formation.
-//!   A `RunWriter` takes records one at a time and spills a sorted run per
-//!   fill of its load buffer, so a caller that produces records on the fly
-//!   never writes them unsorted; [`form_runs_load_sort`] feeds one from a
-//!   file.
+//! * [`RunWriter`] — run formation. A `RunWriter` takes records one at a
+//!   time and spills a sorted run per fill of its load buffer, so a caller
+//!   that produces records on the fly never writes them unsorted;
+//!   [`form_runs_load_sort`] feeds one from a file.
 //! * [`LoserTree`] — tournament tree for `k`-way merging.
 //! * [`merge_runs`] / [`external_sort`] — multiway merge passes ending in
 //!   one sorted file.
@@ -22,8 +21,12 @@
 //!   buffers. Skipping the output file saves its writes and its re-read:
 //!   `2·ceil(N/B)` I/Os whenever the runs fit one merge.
 //!
-//! `external_sort` is built on the same two pieces: a `RunWriter` fed from
-//! the input, then the merge passes down to one file.
+//! `external_sort` is built on the same two pieces: the load-sort runs of
+//! the input, then the merge passes down to one file. It is also the
+//! parallel sort: with `EmConfig::workers` above one on a lenient context,
+//! up to that many threads form the runs and take each pass's merge
+//! groups, under the same plan and so with the same output and logical
+//! I/Os.
 //!
 //! ```
 //! use emcore::{EmConfig, EmContext, EmFile};
@@ -75,11 +78,7 @@ mod sort;
 pub use loser_tree::{LoserTree, SliceSource, Source};
 pub use manifest::{external_sort_recoverable, SortJob, SortManifest, SORT_JOURNAL};
 pub use merge::{
-    max_merge_fan_in, max_merge_fan_in_now, merge_once, merge_runs, merge_runs_with_fan_in,
-    MergeStream, SortedRuns,
+    max_merge_fan_in, max_merge_fan_in_now, merge_once, merge_runs, MergeStream, SortedRuns,
 };
-pub use parallel::parallel_external_sort;
-pub use runs::{
-    form_runs_load_sort, form_runs_replacement_selection, is_sorted, RunFormation, RunWriter,
-};
-pub use sort::{external_sort, external_sort_with, predicted_sort_ios};
+pub use runs::{form_runs_load_sort, is_sorted, RunWriter};
+pub use sort::{external_sort, predicted_sort_ios};

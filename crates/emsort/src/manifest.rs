@@ -221,7 +221,7 @@ fn form_remaining_runs<T: Record>(
     manifest: &mut SortManifest<T>,
     ctx: &EmContext,
 ) -> Result<()> {
-    let b = ctx.config().block_size();
+    let b = ctx.config().block_records_for_width(T::WORDS);
     while manifest.consumed < input.len() {
         // Budget re-read per work unit: a governor squeeze between
         // checkpoints shrinks the next unit instead of failing the job,

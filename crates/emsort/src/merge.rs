@@ -1,15 +1,17 @@
 //! Multiway merging of sorted runs.
 //!
-//! One pass loop ([`merge_runs_with_fan_in`]) merges consecutive groups of
-//! runs with a loser tree ([`MergeStream`]). Its last pass either writes
-//! the sorted output file ([`merge_runs`], what `external_sort` does) or
-//! is handed to the caller as a stream ([`SortedRuns::stream`]) that is
-//! pulled record by record — the sorted file is then never written, and
-//! never read back.
+//! One pass loop merges consecutive groups of runs with a loser tree
+//! ([`MergeStream`]). Its last pass either writes the sorted output file
+//! ([`merge_runs`], what `external_sort` does) or is handed to the caller
+//! as a stream ([`SortedRuns::stream`]) that is pulled record by record —
+//! the sorted file is then never written, and never read back.
+
+use std::sync::Mutex;
 
 use emcore::{EmConfig, EmContext, EmError, EmFile, Reader, Record, Result};
 
 use crate::loser_tree::LoserTree;
+use crate::parallel::merge_once_prefetch;
 
 /// Largest merge fan-in that fits the memory budget for record type `T`:
 /// `k` reader block buffers + one writer block buffer + `O(k)` loser-tree
@@ -118,7 +120,7 @@ impl<T: Record> SortedRuns<T> {
         let fan_in = self.ctx.config().fan_in();
         if self.runs.len() > group_fan_in::<T>(&self.ctx, fan_in, reserve) {
             let _phase = self.ctx.stats().phase_guard("sort/merge");
-            merge_passes(&self.ctx, &mut self.runs, fan_in, reserve, true)?;
+            merge_passes(&self.ctx, &mut self.runs, fan_in, reserve, true, 1)?;
         }
         MergeStream::open(&self.ctx, &self.runs)
     }
@@ -137,44 +139,53 @@ pub fn merge_once<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result<EmFi
 }
 
 /// Merge an arbitrary number of sorted runs into a single sorted file by
-/// repeated `fan_in`-way passes.
+/// repeated passes of as many runs as the live budget admits.
 ///
 /// Each pass reads and writes every record once (`2·ceil(N/B)` I/Os), and
-/// `ceil(log_{fan_in}(#runs))` passes are needed — the classical
+/// `ceil(log_k(#runs))` passes are needed at fan-in `k` — the classical
 /// `O((N/B)·lg_{M/B}(N/B))` sort bound when runs come from run formation.
-pub fn merge_runs<T: Record>(ctx: &EmContext, mut runs: Vec<EmFile<T>>) -> Result<EmFile<T>> {
-    merge_runs_with_fan_in(ctx, &mut runs, usize::MAX)
+/// The fan-in is re-read from [`max_merge_fan_in_now`] for every group,
+/// so a governor squeeze narrows the groups after it (more passes, same
+/// output) instead of busting the budget.
+pub fn merge_runs<T: Record>(ctx: &EmContext, runs: Vec<EmFile<T>>) -> Result<EmFile<T>> {
+    merge_into_one(ctx, runs, usize::MAX, 1)
 }
 
-/// [`merge_runs`] with an explicit fan-in (exposed for the fan-in ablation
-/// experiment EX-A2). `fan_in` is re-clamped to `[2, max_merge_fan_in_now]`
-/// at every pass boundary, so a governor squeeze between passes narrows the
-/// fan-in of subsequent passes (more passes, same output) instead of
-/// busting the budget.
-pub fn merge_runs_with_fan_in<T: Record>(
+/// [`merge_runs`] with groups of at most `fan_in` runs, merged on up to
+/// `workers` threads.
+pub(crate) fn merge_into_one<T: Record>(
     ctx: &EmContext,
-    runs: &mut Vec<EmFile<T>>,
+    mut runs: Vec<EmFile<T>>,
     fan_in: usize,
+    workers: usize,
 ) -> Result<EmFile<T>> {
     if runs.is_empty() {
         return ctx.create_file::<T>();
     }
-    merge_passes(ctx, runs, fan_in, 0, false)?;
+    merge_passes(ctx, &mut runs, fan_in, 0, false, workers)?;
     runs.pop()
         .ok_or_else(|| EmError::config("merge pass produced no output run"))
 }
 
-/// The merge-pass loop. Each pass merges consecutive groups of `fan_in`
-/// runs (re-clamped to what the live budget admits once `reserve` words
-/// are set aside). Passes repeat until one run is left — or, when
-/// `streamed` (the last pass will be pulled by the caller), until the
-/// runs fit one such group.
+/// How one group is merged into one file.
+type MergeFn<T> = fn(&EmContext, &[EmFile<T>]) -> Result<EmFile<T>>;
+
+/// The merge-pass loop: the one place a sort cuts its merge groups. Each
+/// pass merges consecutive groups of `fan_in` runs (re-clamped to what the
+/// live budget admits once `reserve` words are set aside). Passes repeat
+/// until one run is left — or, when `streamed` (the last pass will be
+/// pulled by the caller), until the runs fit one such group.
+///
+/// Up to `workers` threads take a pass's groups in order, each group cut
+/// when it is taken, so the groups, the output and its I/Os are the same
+/// at every worker count. A pass of one group stays on the calling thread.
 fn merge_passes<T: Record>(
     ctx: &EmContext,
     runs: &mut Vec<EmFile<T>>,
     fan_in: usize,
     reserve: usize,
     streamed: bool,
+    workers: usize,
 ) -> Result<()> {
     let target = || {
         if streamed {
@@ -183,27 +194,63 @@ fn merge_passes<T: Record>(
             1
         }
     };
+    // Prefetch and write-behind threads pay only when a transfer has
+    // latency to hide; against a page-cache-speed backend their channel
+    // handoffs are pure overhead.
+    let merge: MergeFn<T> = if workers > 1 && ctx.config().device_latency_us() > 0 {
+        merge_once_prefetch
+    } else {
+        merge_once
+    };
+    // Worker threads pin their spans under the phase open on this thread:
+    // the tracer resolves parents per thread.
+    let parent = ctx.stats().current_span_id();
     while runs.len() > target() {
-        let mut next: Vec<EmFile<T>> = Vec::new();
-        let mut iter = std::mem::take(runs).into_iter();
-        loop {
-            // The clamp is re-read per *group*, so a squeeze landing
-            // mid-pass narrows the very next group, not just the next
-            // pass.
-            let fan = group_fan_in::<T>(ctx, fan_in, reserve);
-            let group: Vec<EmFile<T>> = iter.by_ref().take(fan).collect();
-            match group.len() {
-                0 => break,
-                // A lone leftover run moves to the next pass unmerged —
-                // merging it alone would copy every block for nothing.
-                1 => {
-                    next.extend(group);
-                    break;
+        let threads = workers.min(runs.len().div_ceil(group_fan_in::<T>(ctx, fan_in, reserve)));
+        // The runs not yet taken, and the index of the next group.
+        let todo = Mutex::new((std::mem::take(runs).into_iter(), 0usize));
+        let work = |traced: bool| -> Result<Vec<(usize, Vec<EmFile<T>>)>> {
+            let mut done = Vec::new();
+            loop {
+                let (i, group) = {
+                    let mut todo = todo.lock().expect("no thread panics while cutting a group");
+                    let (rest, next) = &mut *todo;
+                    // The clamp is re-read per *group*, so a squeeze landing
+                    // mid-pass narrows the very next group, not just the
+                    // next pass.
+                    let fan = group_fan_in::<T>(ctx, fan_in, reserve);
+                    *next += 1;
+                    (*next - 1, rest.by_ref().take(fan).collect::<Vec<_>>())
+                };
+                if group.is_empty() {
+                    return Ok(done);
                 }
-                _ => merge_group_adaptive(ctx, group, &mut next)?,
+                let _unit = (traced && group.len() > 1).then(|| {
+                    ctx.stats()
+                        .trace_span_under(parent, || format!("unit/merge-group#{i}"))
+                });
+                let mut out = Vec::new();
+                merge_group_adaptive(ctx, group, merge, &mut out)?;
+                done.push((i, out));
             }
-        }
-        *runs = next;
+        };
+        let mut merged = if threads == 1 {
+            work(false)?
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| work(true))).collect();
+                let mut merged = Vec::new();
+                for h in handles {
+                    let done = h
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                    merged.extend(done?);
+                }
+                Ok::<_, EmError>(merged)
+            })?
+        };
+        merged.sort_unstable_by_key(|&(i, _)| i);
+        *runs = merged.into_iter().flat_map(|(_, out)| out).collect();
     }
     Ok(())
 }
@@ -212,25 +259,28 @@ fn merge_passes<T: Record>(
 /// the reader buffers no longer fit a freshly squeezed budget. The halves
 /// land in the current pass's output and are merged by a later pass, so
 /// the result is identical — just more passes. Only a budget too small for
-/// even a 2-way merge surfaces the typed error.
+/// even a 2-way merge surfaces the typed error. A lone run — the leftover
+/// of a pass, or half of a split group of three — moves to the next pass
+/// unmerged: merging it alone would copy every block for nothing.
 fn merge_group_adaptive<T: Record>(
     ctx: &EmContext,
     mut group: Vec<EmFile<T>>,
+    merge: MergeFn<T>,
     out: &mut Vec<EmFile<T>>,
 ) -> Result<()> {
     if group.len() == 1 {
         out.extend(group);
         return Ok(());
     }
-    match merge_once(ctx, &group) {
+    match merge(ctx, &group) {
         Ok(f) => {
             out.push(f);
             Ok(())
         }
         Err(EmError::MemoryExceeded { .. }) if group.len() > 2 => {
             let right = group.split_off(group.len() / 2);
-            merge_group_adaptive(ctx, group, out)?;
-            merge_group_adaptive(ctx, right, out)
+            merge_group_adaptive(ctx, group, merge, out)?;
+            merge_group_adaptive(ctx, right, merge, out)
         }
         Err(e) => Err(e),
     }
@@ -337,12 +387,12 @@ mod tests {
                 .map(|i| run_of(c, &(0..16).map(|j| (j * 16 + i) as u64).collect::<Vec<_>>()))
                 .collect()
         };
-        let mut r1 = mk(&c1);
-        let mut r2 = mk(&c2);
+        let r1 = mk(&c1);
+        let r2 = mk(&c2);
         let s1 = c1.stats().snapshot();
         let s2 = c2.stats().snapshot();
-        let m1 = merge_runs_with_fan_in(&c1, &mut r1, 2).unwrap(); // 4 passes
-        let m2 = merge_runs_with_fan_in(&c2, &mut r2, 14).unwrap(); // 2 passes
+        let m1 = merge_into_one(&c1, r1, 2, 1).unwrap(); // 4 passes
+        let m2 = merge_into_one(&c2, r2, 14, 1).unwrap(); // 2 passes
         assert_eq!(m1.to_vec().unwrap(), m2.to_vec().unwrap());
         let io1 = c1.stats().snapshot().since(&s1).total_ios();
         let io2 = c2.stats().snapshot().since(&s2).total_ios();

@@ -1,31 +1,27 @@
-//! Parallel external merge sort: `W` workers over one shared context.
+//! The parts of [`crate::external_sort`] that run on more than one thread.
 //!
-//! [`parallel_external_sort`] is the multi-threaded counterpart of
-//! [`crate::external_sort`], built on `std::thread` + `std::sync::mpsc`
-//! only. Its defining property is that it is *I/O-identical* to the
-//! sequential sort: run boundaries, merge pass structure and fan-in are
-//! exactly those of `external_sort`, so logical I/O counts and the sorted
-//! output are byte-for-byte the same at any worker count — only wall-clock
-//! time changes.
+//! `external_sort` decides one plan — run boundaries, merge groups,
+//! fan-in, passes — at every worker count `W`, so logical I/O counts and
+//! the sorted output are byte-for-byte the same at any `W`; only
+//! wall-clock time changes. Built on `std::thread` + `std::sync::mpsc`
+//! only.
 //!
 //! ## Threading structure
 //!
-//! * **Run formation** — chunk boundaries are those of
-//!   [`crate::form_runs_load_sort`]. When they fall on block boundaries
-//!   (the common case: the working capacity is a whole number of blocks),
-//!   `W` workers claim chunk indices from an atomic counter and read,
-//!   sort, and write their chunks entirely on their own — the read scan
-//!   itself is parallel, and every input block is still read exactly once.
-//!   Otherwise a coordinator thread scans the input sequentially and hands
-//!   `(seq, chunk)` pairs to the workers over a bounded channel. Either
-//!   way runs are re-ordered by sequence number so the merge sees them in
-//!   scan order.
-//! * **Merge passes** — a pass merges groups of `fan_in` runs exactly as
-//!   [`crate::merge_runs_with_fan_in`] would; groups within a pass are
-//!   independent, so up to `W` of them merge concurrently.
+//! * **Run formation** — when the load-sort chunk boundaries fall on block
+//!   boundaries (the common case: the working capacity is a whole number
+//!   of blocks), `W` workers claim chunk indices from an atomic counter
+//!   and read, sort, and write their chunks entirely on their own
+//!   ([`form_runs_block_ranges`]) — the read scan itself is parallel, and
+//!   every input block is still read exactly once. Otherwise the runs come
+//!   from [`crate::form_runs_load_sort`] on the calling thread.
+//! * **Merge passes** — the one merge-pass loop lets up to `W` threads take
+//!   a pass's groups in order, each group cut when it is taken; a pass of
+//!   one group (the last) stays on one thread.
 //! * **Merge overlap** — when the context simulates device latency
-//!   (`EmConfig::device_latency_us > 0`), each merge additionally overlaps
-//!   transfers with computation: one *prefetch thread per input run* reads
+//!   (`EmConfig::device_latency_us > 0`) and `W > 1`, each merge
+//!   additionally overlaps transfers with computation
+//!   ([`merge_once_prefetch`]): one *prefetch thread per input run* reads
 //!   blocks ahead into a small bounded channel, and a dedicated writer
 //!   thread drains full output blocks from the merging thread — device
 //!   reads, loser-tree comparisons, and device writes all proceed
@@ -41,7 +37,7 @@
 //! its own budget of `M` words; the aggregate in-flight footprint is
 //! `O(W·M)`. All charges still go through the shared [`emcore::MemoryTracker`]
 //! so peak usage is reported honestly, but a *strict* context enforces a
-//! single-machine budget and therefore falls back to the sequential sort.
+//! single-machine budget and therefore sorts on one thread.
 //!
 //! Fault injection composes with the parallel path, but positional
 //! triggers (`Trigger::OnCount`) fire on a global counter and are
@@ -50,84 +46,30 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Mutex;
 
 use emcore::{EmContext, EmError, EmFile, MemCharge, Record, Result};
 
 use crate::loser_tree::{LoserTree, Source};
-use crate::merge::{max_merge_fan_in_now, merge_once};
-use crate::runs::working_capacity;
-use crate::sort::external_sort_with;
-use crate::RunFormation;
 
 /// How many block batches a prefetch thread may run ahead of the merge.
 const PREFETCH_DEPTH: usize = 2;
 
-/// Sort `input` using `ctx.config().workers()` threads.
-///
-/// Produces the same sorted file and charges the same logical I/Os as
-/// [`crate::external_sort`] — run boundaries, pass structure and fan-in
-/// are identical — but forms runs and merges independent groups
-/// concurrently, and overlaps the final merge with prefetch threads.
-///
-/// Falls back to the sequential sort when `workers <= 1` or when the
-/// context meters memory *strictly* (the parallel sort's aggregate
-/// footprint is `W` machines × `M` words, which a strict single-machine
-/// budget would reject).
-pub fn parallel_external_sort<T: Record>(input: &EmFile<T>) -> Result<EmFile<T>> {
-    let ctx = input.ctx().clone();
-    let workers = ctx.config().workers();
-    if workers <= 1 || ctx.mem().is_strict() {
-        return external_sort_with(input, RunFormation::LoadSort, None);
-    }
-    let stats = ctx.stats().clone();
-    let formation = stats.phase_guard("sort/run-formation");
-    // Worker threads parent their trace spans on the phase opened here:
-    // the tracer resolves parents per thread, so without the explicit id
-    // a worker's span could land under another thread's span.
-    let form_span = stats.current_span_id();
-    let runs = parallel_form_runs(input, workers, form_span);
-    drop(formation);
-    let runs = runs?;
-    let merge = stats.phase_guard("sort/merge");
-    let merge_span = stats.current_span_id();
-    let out = parallel_merge(&ctx, runs, ctx.config().fan_in(), workers, merge_span);
-    drop(merge);
-    out
-}
-
-/// Cut `input` into chunks at the same boundaries as
-/// [`crate::form_runs_load_sort`] and sort/write the chunks on `workers`
-/// threads. Returns the runs in scan order.
-fn parallel_form_runs<T: Record>(
-    input: &EmFile<T>,
-    workers: usize,
-    parent: u64,
-) -> Result<Vec<EmFile<T>>> {
-    let ctx = input.ctx().clone();
-    let cap = working_capacity::<T>(&ctx);
-    // Records per block for THIS record type — not the word-denominated
-    // block size (they differ for multi-word records).
-    let bpr = ctx.config().block_records_for_width(T::WORDS);
-    if cap.is_multiple_of(bpr) {
-        form_runs_block_ranges(input, workers, cap, parent)
-    } else {
-        form_runs_shipped(input, workers, cap, parent)
-    }
-}
-
-/// Fast path: chunk boundaries coincide with block boundaries, so workers
-/// claim chunk indices from an atomic counter and read their own chunks
-/// straight from `input` — no serial coordinator scan. Each input block
-/// belongs to exactly one chunk and is read exactly once, so logical I/O
-/// matches the sequential scan.
-fn form_runs_block_ranges<T: Record>(
+/// Cut `input` into chunks of `cap` records, a whole number of blocks, and
+/// sort and write them on `workers` threads, which claim chunk indices
+/// from an atomic counter and read their own chunks straight from `input`.
+/// Each input block belongs to exactly one chunk and is read exactly once,
+/// so the runs and the logical I/O are those of
+/// [`crate::form_runs_load_sort`]. Returns the runs in scan order.
+pub(crate) fn form_runs_block_ranges<T: Record>(
     input: &EmFile<T>,
     workers: usize,
     cap: usize,
-    parent: u64,
 ) -> Result<Vec<EmFile<T>>> {
     let ctx = input.ctx().clone();
+    // Worker threads parent their spans on the phase open here: the tracer
+    // resolves parents per thread, so without the explicit id a worker's
+    // span could land under another thread's span.
+    let parent = ctx.stats().current_span_id();
     let bs = ctx.config().block_records_for_width(T::WORDS);
     let n = input.len() as usize;
     let chunks = n.div_ceil(cap);
@@ -206,233 +148,6 @@ fn form_runs_block_ranges<T: Record>(
     })
 }
 
-/// Fallback when chunk boundaries cut through blocks: a coordinator scans
-/// `input` sequentially (so boundary blocks are still read once) and ships
-/// whole chunks to the workers.
-fn form_runs_shipped<T: Record>(
-    input: &EmFile<T>,
-    workers: usize,
-    cap: usize,
-    parent: u64,
-) -> Result<Vec<EmFile<T>>> {
-    let ctx = input.ctx().clone();
-
-    // (sequence number, unsorted chunk, its memory charge)
-    type Job<T> = (usize, Vec<T>, MemCharge);
-
-    let (tx, rx) = sync_channel::<Job<T>>(1);
-    let rx = Mutex::new(rx);
-
-    std::thread::scope(|s| {
-        let rx = &rx;
-
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let wctx = ctx.clone();
-            handles.push(s.spawn(move || -> Result<Vec<(usize, EmFile<T>)>> {
-                let mut produced = Vec::new();
-                let mut first_err: Option<EmError> = None;
-                loop {
-                    // Take the receiver lock only for the handoff.
-                    let job = rx.lock().unwrap_or_else(|p| p.into_inner()).recv();
-                    let Ok((seq, mut chunk, charge)) = job else {
-                        break; // channel closed: no more chunks
-                    };
-                    // After a failure keep draining (and dropping) chunks so
-                    // the coordinator's bounded send never wedges.
-                    if first_err.is_some() {
-                        continue;
-                    }
-                    let _unit = wctx
-                        .stats()
-                        .trace_span_under(parent, || format!("unit/run#{seq}"));
-                    chunk.sort_unstable_by_key(|r| r.key());
-                    let run = (|| {
-                        let mut w = wctx.writer::<T>()?;
-                        w.push_all(&chunk)?;
-                        w.finish()
-                    })();
-                    drop(chunk);
-                    drop(charge);
-                    match run {
-                        Ok(f) => produced.push((seq, f)),
-                        Err(e) => first_err = Some(e),
-                    }
-                }
-                match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(produced),
-                }
-            }));
-        }
-
-        // Coordinator: sequential scan, same chunk boundaries as the
-        // sequential load-sort formation.
-        let mut scan_err: Option<EmError> = None;
-        {
-            let mut reader = input.reader()?;
-            let mut seq = 0usize;
-            'scan: loop {
-                let charge = match ctx
-                    .mem()
-                    .try_charge(cap * T::WORDS, "parallel run formation chunk")
-                {
-                    Ok(c) => c,
-                    Err(e) => {
-                        scan_err = Some(e);
-                        break 'scan;
-                    }
-                };
-                let mut chunk: Vec<T> = Vec::with_capacity(cap);
-                while chunk.len() < cap {
-                    match reader.next() {
-                        Ok(Some(x)) => chunk.push(x),
-                        Ok(None) => break,
-                        Err(e) => {
-                            scan_err = Some(e);
-                            break 'scan;
-                        }
-                    }
-                }
-                if chunk.is_empty() {
-                    break;
-                }
-                let exhausted = chunk.len() < cap;
-                if tx.send((seq, chunk, charge)).is_err() {
-                    break; // all workers gone (only on panic)
-                }
-                seq += 1;
-                if exhausted {
-                    break;
-                }
-            }
-        }
-        drop(tx); // close the channel so idle workers exit
-
-        let mut tagged: Vec<(usize, EmFile<T>)> = Vec::new();
-        let mut worker_err: Option<EmError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok(mut runs)) => tagged.append(&mut runs),
-                Ok(Err(e)) => worker_err = worker_err.or(Some(e)),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        tagged.sort_unstable_by_key(|&(seq, _)| seq);
-        Ok(tagged.into_iter().map(|(_, f)| f).collect())
-    })
-}
-
-/// Merge `runs` with the pass/group structure of
-/// [`crate::merge_runs_with_fan_in`], merging independent groups of a pass
-/// on up to `workers` threads and prefetching the single-group final pass.
-fn parallel_merge<T: Record>(
-    ctx: &EmContext,
-    mut runs: Vec<EmFile<T>>,
-    fan_in: usize,
-    workers: usize,
-    parent: u64,
-) -> Result<EmFile<T>> {
-    if runs.is_empty() {
-        return ctx.create_file::<T>();
-    }
-    while runs.len() > 1 {
-        // Same grouping as the sequential merge: consecutive groups of
-        // `fan_in`, with a lone leftover run carried over unmerged. The
-        // clamp is re-read per pass so a governor squeeze narrows later
-        // passes instead of overcommitting.
-        let fan_in = fan_in.clamp(2, max_merge_fan_in_now::<T>(ctx));
-        let mut groups: Vec<Vec<EmFile<T>>> = Vec::with_capacity(runs.len().div_ceil(fan_in));
-        let mut group: Vec<EmFile<T>> = Vec::with_capacity(fan_in);
-        for r in runs.drain(..) {
-            group.push(r);
-            if group.len() == fan_in {
-                groups.push(std::mem::take(&mut group));
-            }
-        }
-        if !group.is_empty() {
-            groups.push(group); // may be a lone run: passed through below
-        }
-
-        // Prefetch/write-behind threads only pay when a transfer has
-        // latency to hide; against a page-cache-speed backend the channel
-        // handoffs are pure overhead.
-        let overlap = ctx.config().device_latency_us() > 0;
-        runs = if groups.len() == 1 {
-            let only = groups.pop().expect("non-empty by construction");
-            if only.len() == 1 {
-                only // lone leftover: carried unmerged
-            } else {
-                vec![merge_group(ctx, &only, overlap)?]
-            }
-        } else {
-            merge_groups_parallel(ctx, groups, workers, overlap, parent)?
-        };
-    }
-    runs.pop()
-        .ok_or_else(|| EmError::config("merge pass produced no output run"))
-}
-
-/// Merge each group on its own thread (at most `workers` at a time),
-/// preserving group order in the output.
-fn merge_groups_parallel<T: Record>(
-    ctx: &EmContext,
-    groups: Vec<Vec<EmFile<T>>>,
-    workers: usize,
-    overlap: bool,
-    parent: u64,
-) -> Result<Vec<EmFile<T>>> {
-    let n = groups.len();
-    let tasks: Vec<Mutex<Option<Vec<EmFile<T>>>>> =
-        groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-    let results: Vec<Mutex<Option<Result<EmFile<T>>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let group = tasks[i]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take()
-                    .expect("each task is claimed exactly once");
-                let merged = if group.len() == 1 {
-                    // Lone leftover run: carried to the next pass unmerged,
-                    // exactly as the sequential merge does.
-                    Ok(group.into_iter().next().expect("len checked"))
-                } else {
-                    // Trace-only span per merge group, pinned under the
-                    // coordinating sort/merge phase.
-                    let _unit = ctx
-                        .stats()
-                        .trace_span_under(parent, || format!("unit/merge-group#{i}"));
-                    merge_group(ctx, &group, overlap)
-                };
-                *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(merged);
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every group index below n is processed")
-        })
-        .collect()
-}
-
 /// A [`Source`] fed block batches by a prefetch thread.
 struct ChannelSource<T: Record> {
     rx: Receiver<Result<(Vec<T>, MemCharge)>>,
@@ -473,31 +188,15 @@ impl<T: Record> Source<T> for ChannelSource<T> {
     }
 }
 
-/// Merge one group, preferring the overlapped (prefetch + write-behind)
-/// path. If the prefetch pipeline's extra block buffers no longer fit a
-/// squeezed budget, fall back to the plain single-threaded merge, which
-/// needs only one buffer per run — degrade, don't fail.
-fn merge_group<T: Record>(
-    ctx: &EmContext,
-    group: &[EmFile<T>],
-    overlap: bool,
-) -> Result<EmFile<T>> {
-    if overlap {
-        match merge_once_prefetch(ctx, group) {
-            Err(EmError::MemoryExceeded { .. }) => merge_once(ctx, group),
-            r => r,
-        }
-    } else {
-        merge_once(ctx, group)
-    }
-}
-
-/// [`merge_once`], but each input run is read ahead by its own prefetch
-/// thread and full output blocks are handed to a dedicated writer thread,
-/// so device reads, the loser-tree computation, and device writes all
-/// overlap. Charges the same logical I/Os as a plain [`merge_once`] (one
+/// [`crate::merge_once`], but each input run is read ahead by its own
+/// prefetch thread and full output blocks are handed to a dedicated writer
+/// thread, so device reads, the loser-tree computation, and device writes
+/// all overlap. Charges the same logical I/Os as a plain `merge_once` (one
 /// read per input block, one write per output block).
-fn merge_once_prefetch<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result<EmFile<T>> {
+pub(crate) fn merge_once_prefetch<T: Record>(
+    ctx: &EmContext,
+    runs: &[EmFile<T>],
+) -> Result<EmFile<T>> {
     // One batch = one block: `bs` records of `T::WORDS` words each, charged
     // at the model's block size `B` (in words).
     let bs = ctx.config().block_records_for_width(T::WORDS);
@@ -589,7 +288,7 @@ fn merge_once_prefetch<T: Record>(ctx: &EmContext, runs: &[EmFile<T>]) -> Result
 mod tests {
     use super::*;
     use crate::{external_sort, is_sorted};
-    use emcore::{Counters, EmConfig};
+    use emcore::{Counters, EmConfig, KeyValue, Tagged};
 
     fn data(n: u64) -> Vec<u64> {
         (0..n).map(|i| (i * 2654435761) % 1_000_003).collect()
@@ -612,7 +311,7 @@ mod tests {
         let sf = EmFile::from_slice(&seq_ctx, &data(n)).unwrap();
         let pf = EmFile::from_slice(&par_ctx, &data(n)).unwrap();
         let want = external_sort(&sf).unwrap().to_vec().unwrap();
-        let got = parallel_external_sort(&pf).unwrap().to_vec().unwrap();
+        let got = external_sort(&pf).unwrap().to_vec().unwrap();
         assert_eq!(got, want);
     }
 
@@ -629,7 +328,7 @@ mod tests {
         let seq_io = io_delta(&seq_ctx, &sb);
 
         let pb = par_ctx.stats().snapshot();
-        let sorted_par = parallel_external_sort(&pf).unwrap();
+        let sorted_par = external_sort(&pf).unwrap();
         let par_io = io_delta(&par_ctx, &pb);
 
         assert_eq!(par_io, seq_io, "parallel sort must be I/O-identical");
@@ -640,7 +339,7 @@ mod tests {
     fn parallel_phase_totals_cover_worker_ios() {
         let par_ctx = mem_ctx(4);
         let pf = EmFile::from_slice(&par_ctx, &data(4000)).unwrap();
-        let _ = parallel_external_sort(&pf).unwrap();
+        let _ = external_sort(&pf).unwrap();
         let phases = par_ctx.stats().phase_totals();
         let formation = phases
             .iter()
@@ -661,7 +360,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("emsort-par-{}", std::process::id()));
         let ctx = EmContext::new_on_disk(EmConfig::tiny().with_workers(4), &dir).unwrap();
         let f = EmFile::from_slice(&ctx, &data(3000)).unwrap();
-        let s = parallel_external_sort(&f).unwrap();
+        let s = external_sort(&f).unwrap();
         assert!(is_sorted(&s).unwrap());
         assert_eq!(s.len(), 3000);
         drop((f, s));
@@ -673,28 +372,26 @@ mod tests {
     fn parallel_empty_and_tiny_inputs() {
         let c = mem_ctx(4);
         let f = c.create_file::<u64>().unwrap();
-        assert!(parallel_external_sort(&f).unwrap().is_empty());
+        assert!(external_sort(&f).unwrap().is_empty());
         let g = EmFile::from_slice(&c, &[9u64, 1, 5]).unwrap();
-        assert_eq!(
-            parallel_external_sort(&g).unwrap().to_vec().unwrap(),
-            vec![1, 5, 9]
-        );
+        assert_eq!(external_sort(&g).unwrap().to_vec().unwrap(), vec![1, 5, 9]);
     }
 
     #[test]
     fn strict_context_falls_back_to_sequential() {
         let c = EmContext::new_in_memory_strict(EmConfig::tiny().with_workers(4));
         let f = EmFile::from_slice(&c, &data(2000)).unwrap();
-        // Would blow the strict single-machine budget if run in parallel.
-        let s = parallel_external_sort(&f).unwrap();
+        // Would blow the strict single-machine budget if run on four
+        // threads.
+        let s = external_sort(&f).unwrap();
         assert!(is_sorted(&s).unwrap());
         assert_eq!(s.len(), 2000);
     }
 
     #[test]
     fn external_sort_dispatches_on_workers() {
-        // external_sort on a workers=4 lenient context takes the parallel
-        // path and still matches the sequential result.
+        // external_sort on a workers=4 lenient context runs on four threads
+        // and still matches the one-thread result.
         let seq_ctx = mem_ctx(1);
         let par_ctx = mem_ctx(4);
         let sf = EmFile::from_slice(&seq_ctx, &data(3500)).unwrap();
@@ -703,6 +400,60 @@ mod tests {
             external_sort(&pf).unwrap().to_vec().unwrap(),
             external_sort(&sf).unwrap().to_vec().unwrap()
         );
+    }
+
+    /// The output, the logical reads and writes, and the
+    /// `sort/run-formation` and `sort/merge` phase totals of a sort.
+    type Sorted<T> = (Vec<T>, (u64, u64), Vec<(String, Counters)>);
+
+    /// Sort `data` at `workers` on a fresh lenient in-memory context with
+    /// `cfg`'s geometry.
+    fn sorted_at<T: Record>(cfg: EmConfig, data: &[T], workers: usize) -> Sorted<T> {
+        let c = EmContext::new_in_memory(cfg.with_workers(workers));
+        let f = c.stats().paused(|| EmFile::from_slice(&c, data)).unwrap();
+        let before = c.stats().snapshot();
+        let s = external_sort(&f).unwrap();
+        let io = io_delta(&c, &before);
+        let mut phases = c.stats().phase_totals();
+        phases.retain(|(name, _)| name.starts_with("sort/"));
+        phases.sort_by(|a, b| a.0.cmp(&b.0));
+        (c.stats().paused(|| s.to_vec()).unwrap(), io, phases)
+    }
+
+    #[test]
+    fn chunks_that_cut_blocks_sort_as_on_one_worker() {
+        // M = 1000, B = 64: a run holds 1000 − 2·64 = 872 `u64`s, 13.6
+        // blocks, so four workers form runs on the calling thread; 35 runs
+        // at fan-in 13 take two passes, the first of three groups.
+        let cfg = EmConfig::new(1000, 64).unwrap();
+        let keys = data(30_000);
+        let one = sorted_at(cfg, &keys, 1);
+        assert_eq!(one.2.len(), 2, "both sort phases recorded");
+        assert_eq!(sorted_at(cfg, &keys, 4), one);
+        let mut want = keys;
+        want.sort_unstable();
+        assert_eq!(one.0, want);
+
+        // M = 1024, B = 32 with 3-word records: a run holds 341 − 2·10 =
+        // 321, 32.1 blocks of 10; 156 runs at fan-in 26 make a first pass
+        // of six groups, more than the workers. Keys repeat, so equal keys
+        // must also leave in the same order: run order, then the run's own
+        // sort.
+        let cfg = EmConfig::new(1024, 32).unwrap();
+        let recs: Vec<Tagged<KeyValue>> = (0..50_000u64)
+            .map(|i| {
+                Tagged::new(
+                    KeyValue {
+                        key: i % 50,
+                        value: i,
+                    },
+                    0,
+                )
+            })
+            .collect();
+        let one = sorted_at(cfg, &recs, 1);
+        assert_eq!(sorted_at(cfg, &recs, 4), one);
+        assert!(one.0.windows(2).all(|w| w[0].key() <= w[1].key()));
     }
 
     #[test]
@@ -722,7 +473,7 @@ mod tests {
         let sf = EmFile::from_slice(&seq_ctx, &data(n)).unwrap();
 
         let pb = ctx.stats().snapshot();
-        let got = parallel_external_sort(&pf).unwrap();
+        let got = external_sort(&pf).unwrap();
         let par_io = io_delta(&ctx, &pb);
         let sb = seq_ctx.stats().snapshot();
         let want = external_sort(&sf).unwrap();

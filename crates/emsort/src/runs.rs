@@ -1,33 +1,14 @@
-//! Run formation: turning an unsorted file into a set of sorted runs.
+//! Run formation: turning an unsorted input into sorted runs.
 //!
-//! Two strategies:
-//!
-//! * [`RunWriter`] — the textbook approach as a push sink: fill memory,
-//!   sort, write out; runs of length `≈ M`. [`form_runs_load_sort`] feeds
-//!   it from a file; callers that produce records on the fly push them
-//!   directly and never write the unsorted input at all.
-//! * [`form_runs_replacement_selection`] — a tournament-style heap that
-//!   produces runs of expected length `≈ 2M` on random inputs (and a single
-//!   run on already-sorted input), reducing the number of merge passes.
-//!
-//! Both stay within the memory budget: the load buffer / heap is sized to
+//! [`RunWriter`] is the textbook approach as a push sink: fill memory,
+//! sort, write out; runs of length `≈ M`. [`form_runs_load_sort`] feeds it
+//! from a file; callers that produce records on the fly push them directly
+//! and never write the unsorted input at all. The load buffer is sized to
 //! `M` minus the reader and writer block buffers.
 
-use std::collections::BinaryHeap;
-
-use emcore::{EmContext, EmError, EmFile, Record, Result, TrackedVec, Writer};
+use emcore::{EmContext, EmFile, Record, Result, TrackedVec, Writer};
 
 use crate::merge::SortedRuns;
-
-/// How initial runs are formed by [`crate::external_sort_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunFormation {
-    /// Fill memory, sort, flush: runs of length `≈ M`.
-    #[default]
-    LoadSort,
-    /// Replacement selection: runs of expected length `≈ 2M`.
-    ReplacementSelection,
-}
 
 /// Number of records the in-memory working area may hold, leaving room for
 /// one reader and one writer block buffer (a block of records each).
@@ -64,12 +45,12 @@ struct Fill<T: Record> {
 
 impl<T: Record> Fill<T> {
     /// The writer's block buffer first, then the load buffer sized against
-    /// the live budget and halved on rejection.
+    /// the live budget and halved on rejection down to one block.
     fn new(ctx: &EmContext) -> Result<Self> {
         let writer = ctx.writer::<T>()?;
         let (load, cap) = ctx.try_tracked_vec_halving::<T>(
             working_capacity::<T>(ctx),
-            ctx.config().block_size(),
+            ctx.config().block_records_for_width(T::WORDS),
             "run formation load buffer",
         )?;
         Ok(Self { writer, load, cap })
@@ -165,99 +146,6 @@ pub fn form_runs_load_sort<T: Record>(input: &EmFile<T>) -> Result<Vec<EmFile<T>
     Ok(runs.finish()?.into_runs())
 }
 
-struct HeapItem<T: Record> {
-    rec: T,
-}
-
-impl<T: Record> PartialEq for HeapItem<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.rec.key() == other.rec.key()
-    }
-}
-impl<T: Record> Eq for HeapItem<T> {}
-impl<T: Record> PartialOrd for HeapItem<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T: Record> Ord for HeapItem<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we want the minimum key.
-        other.rec.key().cmp(&self.rec.key())
-    }
-}
-
-/// Form sorted runs by replacement selection.
-///
-/// A min-heap of capacity `≈ M` holds the "current run" candidates; records
-/// smaller than the last emitted key are parked for the next run. On random
-/// input the expected run length is `2M` (Knuth's snowplough argument), so
-/// roughly half as many runs come out of the same scan, at the same
-/// `2·ceil(N/B)` I/O cost.
-pub fn form_runs_replacement_selection<T: Record>(input: &EmFile<T>) -> Result<Vec<EmFile<T>>> {
-    let ctx = input.ctx().clone();
-    // The heap + parked buffer jointly hold at most `cap` records; charge
-    // them as one region (BinaryHeap's storage is not a TrackedVec, so the
-    // charge is taken explicitly), halving on rejection like the load-sort
-    // path. The heap lives for the whole job, so the budget read here is
-    // the admission point; squeezes land on the next job.
-    let floor = ctx.config().block_size().max(1);
-    let mut cap = working_capacity::<T>(&ctx).max(floor);
-    let _charge = loop {
-        match ctx
-            .mem()
-            .try_charge(cap * T::WORDS, "replacement selection working set")
-        {
-            Ok(c) => break c,
-            Err(e @ EmError::MemoryExceeded { .. }) => {
-                if cap <= floor {
-                    return Err(e);
-                }
-                cap = (cap / 2).max(floor);
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    let mut reader = input.reader()?;
-    let mut runs: Vec<EmFile<T>> = Vec::new();
-    let mut heap: BinaryHeap<HeapItem<T>> = BinaryHeap::with_capacity(cap);
-    let mut parked: Vec<T> = Vec::with_capacity(cap);
-
-    // Prime the heap.
-    while heap.len() < cap {
-        match reader.next()? {
-            Some(x) => heap.push(HeapItem { rec: x }),
-            None => break,
-        }
-    }
-
-    while !heap.is_empty() {
-        let mut w = ctx.writer::<T>()?;
-        while let Some(item) = heap.pop() {
-            let rec = item.rec;
-            w.push(rec)?;
-            let last_key = rec.key();
-            // Refill from input if there is room (heap + parked < cap).
-            if heap.len() + parked.len() < cap {
-                if let Some(x) = reader.next()? {
-                    if x.key() >= last_key {
-                        heap.push(HeapItem { rec: x });
-                    } else {
-                        parked.push(x);
-                    }
-                }
-            }
-        }
-        runs.push(w.finish()?);
-        // Start the next run from the parked records.
-        for rec in parked.drain(..) {
-            heap.push(HeapItem { rec });
-        }
-    }
-    Ok(runs)
-}
-
 /// Verify that `file` is sorted by key (one scan; charges its reads).
 pub fn is_sorted<T: Record>(file: &EmFile<T>) -> Result<bool> {
     let mut r = file.reader()?;
@@ -276,7 +164,7 @@ pub fn is_sorted<T: Record>(file: &EmFile<T>) -> Result<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcore::EmConfig;
+    use emcore::{EmConfig, KeyValue};
 
     fn ctx() -> EmContext {
         EmContext::new_in_memory_strict(EmConfig::tiny()) // M=256, B=16
@@ -400,51 +288,32 @@ mod tests {
     }
 
     #[test]
-    fn replacement_selection_runs_sorted_and_complete() {
-        let c = ctx();
-        // pseudo-random but deterministic
-        let data: Vec<u64> = (0..2000u64).map(|i| (i * 2654435761) % 10_000).collect();
-        let f = EmFile::from_slice(&c, &data).unwrap();
-        let runs = form_runs_replacement_selection(&f).unwrap();
-        check_runs(&runs, 2000);
-        let lr = form_runs_load_sort(&f).unwrap();
-        assert!(
-            runs.len() < lr.len(),
-            "replacement selection ({}) should beat load-sort ({}) on random input",
-            runs.len(),
-            lr.len()
-        );
-    }
-
-    #[test]
-    fn replacement_selection_sorted_input_single_run() {
-        let c = ctx();
-        let data: Vec<u64> = (0..1500).collect();
-        let f = EmFile::from_slice(&c, &data).unwrap();
-        let runs = form_runs_replacement_selection(&f).unwrap();
-        assert_eq!(runs.len(), 1);
-        assert!(is_sorted(&runs[0]).unwrap());
-        assert_eq!(runs[0].len(), 1500);
-    }
-
-    #[test]
-    fn replacement_selection_reverse_input_worst_case() {
-        let c = ctx();
-        let data: Vec<u64> = (0..1000).rev().collect();
-        let f = EmFile::from_slice(&c, &data).unwrap();
-        let runs = form_runs_replacement_selection(&f).unwrap();
-        check_runs(&runs, 1000);
-        // Worst case degenerates to ≈ N/M runs, never worse than 1 per record.
-        assert!(runs.len() <= 6);
-    }
-
-    #[test]
-    fn replacement_selection_with_duplicates() {
-        let c = ctx();
-        let data: Vec<u64> = (0..1200).map(|i| i % 7).collect();
-        let f = EmFile::from_slice(&c, &data).unwrap();
-        let runs = form_runs_replacement_selection(&f).unwrap();
-        check_runs(&runs, 1200);
+    fn load_buffer_halves_down_to_one_block_of_records() {
+        // M = 256, B = 16. With 216 words held elsewhere and the writer's
+        // 16-word block, 24 words are left for the load buffer. A block
+        // holds 16 `u64`s or 8 `KeyValue`s, so halving stops at 16 records
+        // (16 words) for one and at 8 records (16 words) for the other.
+        fn runs_of<T: Record>(recs: &[T]) -> Vec<EmFile<T>> {
+            let c = ctx();
+            let _held = c.mem().try_charge(216, "held by the test").unwrap();
+            let mut w = RunWriter::new(&c);
+            w.push_all(recs).unwrap();
+            let runs = w.finish().unwrap().into_runs();
+            assert!(runs.iter().all(|r| is_sorted(r).unwrap()));
+            assert_eq!(runs.iter().map(|r| r.len()).sum::<u64>(), recs.len() as u64);
+            runs
+        }
+        let keys: Vec<u64> = (0..100u64).map(|i| (i * 37) % 100).collect();
+        let runs = runs_of(&keys);
+        assert_eq!(runs.len(), 7);
+        assert!(runs.iter().all(|r| r.len() <= 16));
+        let recs: Vec<KeyValue> = keys
+            .iter()
+            .map(|&key| KeyValue { key, value: !key })
+            .collect();
+        let runs = runs_of(&recs);
+        assert_eq!(runs.len(), 13);
+        assert!(runs.iter().all(|r| r.len() <= 8));
     }
 
     #[test]

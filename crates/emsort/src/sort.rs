@@ -2,51 +2,44 @@
 
 use emcore::{EmConfig, EmFile, Record, Result};
 
-use crate::merge::merge_runs_with_fan_in;
-use crate::runs::{form_runs_load_sort, form_runs_replacement_selection, RunFormation};
+use crate::merge::merge_into_one;
+use crate::parallel::form_runs_block_ranges;
+use crate::runs::{form_runs_load_sort, working_capacity};
 
-/// Sort `input` into a fresh file with default settings (load-sort runs,
-/// maximum fan-in). The input file is left untouched.
+/// Sort `input` into a fresh file: load-sort runs, then merge passes of
+/// the maximum fan-in down to one file. The input file is left untouched.
 ///
 /// Cost: `2·(N/B)·(1 + ceil(log_{M/B−2}(N/M)))` I/Os — the classical
 /// `O((N/B)·lg_{M/B}(N/B))` bound, and the baseline that "trivially solves"
 /// every problem in the paper (§1.2).
 ///
-/// When the context is configured with more than one worker
-/// (`EmConfig::with_workers`) and meters memory leniently, dispatches to
-/// [`crate::parallel_external_sort`], which charges identical logical
-/// I/Os and produces an identical output file.
+/// The sort runs on `W` threads: `EmConfig::workers` when the context
+/// meters memory leniently, one when it meters strictly (the `W` threads
+/// hold `W` machines' buffers, which a strict single-machine budget would
+/// reject). Run boundaries, merge groups, fan-in and passes are the same
+/// at every `W`, so the output file and the logical I/Os are too; only
+/// wall-clock time changes.
 pub fn external_sort<T: Record>(input: &EmFile<T>) -> Result<EmFile<T>> {
-    if input.ctx().config().workers() > 1 {
-        return crate::parallel::parallel_external_sort(input);
-    }
-    external_sort_with(input, RunFormation::LoadSort, None)
-}
-
-/// [`external_sort`] with an explicit run-formation strategy and an
-/// optional fan-in override (for ablations).
-pub fn external_sort_with<T: Record>(
-    input: &EmFile<T>,
-    strategy: RunFormation,
-    fan_in: Option<usize>,
-) -> Result<EmFile<T>> {
-    let ctx = input.ctx().clone();
-    let stats = ctx.stats().clone();
-    let formation = stats.phase_guard("sort/run-formation");
-    let runs = match strategy {
-        RunFormation::LoadSort => form_runs_load_sort(input),
-        RunFormation::ReplacementSelection => form_runs_replacement_selection(input),
+    let ctx = input.ctx();
+    let workers = if ctx.mem().is_strict() {
+        1
+    } else {
+        ctx.config().workers()
+    };
+    let formation = ctx.stats().phase_guard("sort/run-formation");
+    let cap = working_capacity::<T>(ctx);
+    let block = ctx.config().block_records_for_width(T::WORDS);
+    // Workers read their own chunks only when the load-sort cuts fall on
+    // block boundaries, so that every input block is read once either way.
+    let runs = if workers > 1 && cap.is_multiple_of(block) {
+        form_runs_block_ranges(input, workers, cap)
+    } else {
+        form_runs_load_sort(input)
     };
     drop(formation);
-    let mut runs = runs?;
-    let merge = stats.phase_guard("sort/merge");
-    let out = merge_runs_with_fan_in(
-        &ctx,
-        &mut runs,
-        fan_in.unwrap_or_else(|| ctx.config().fan_in()),
-    );
-    drop(merge);
-    out
+    let runs = runs?;
+    let _merge = ctx.stats().phase_guard("sort/merge");
+    merge_into_one(ctx, runs, ctx.config().fan_in(), workers)
 }
 
 /// Predicted I/O count of [`external_sort`] on `n` records: the formula the
@@ -101,17 +94,6 @@ mod tests {
         assert!(external_sort(&f).unwrap().is_empty());
         let g = EmFile::from_slice(&c, &[42u64]).unwrap();
         assert_eq!(external_sort(&g).unwrap().to_vec().unwrap(), vec![42]);
-    }
-
-    #[test]
-    fn replacement_selection_path_sorts() {
-        let c = ctx();
-        let data: Vec<u64> = (0..4000u64).map(|i| (i * 48271) % 65536).collect();
-        let f = EmFile::from_slice(&c, &data).unwrap();
-        let s = external_sort_with(&f, RunFormation::ReplacementSelection, None).unwrap();
-        let mut want = data.clone();
-        want.sort_unstable();
-        assert_eq!(s.to_vec().unwrap(), want);
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! `--mem M` and `--block B` set the machine geometry (defaults 65536/1024
 //! records — a more disk-like shape than the simulator defaults).
 //! `--workers W` sorts with `W` threads (identical logical I/Os and
-//! output; see `emsort::parallel_external_sort`) and `--cache-blocks C`
+//! output; see `emsort::external_sort`) and `--cache-blocks C`
 //! enables a `C`-block buffer-pool cache under the EM machine (hits charge
 //! logical but not physical I/Os).
 //!

@@ -98,9 +98,7 @@ pub mod prelude {
         QueryAnswer, QueryOptions, QueryServer, QueryService, Request, Response, Router,
         ServeOptions, ServeReport, ServiceTicket, ShardMap, SplitterIndex, PROTOCOL_VERSION,
     };
-    pub use emsort::{
-        external_sort, external_sort_recoverable, parallel_external_sort, SortJob, SortManifest,
-    };
+    pub use emsort::{external_sort, external_sort_recoverable, SortJob, SortManifest};
     pub use workloads::{
         degree_histogram, generate, grid_edges, materialize, rmat_edges, Workload,
     };

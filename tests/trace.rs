@@ -179,7 +179,7 @@ fn parallel_sort_trace_is_parse_clean_and_nested() {
     let f = c.stats().paused(|| EmFile::from_slice(&c, &data)).unwrap();
     let sorted = {
         let _root = c.stats().phase_guard("test/parallel-root");
-        parallel_external_sort(&f).unwrap()
+        external_sort(&f).unwrap()
     };
     let mut want = data.clone();
     want.sort_unstable();
