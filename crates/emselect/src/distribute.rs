@@ -13,7 +13,9 @@ use crate::sample_splitters::bucket_of;
 
 /// Largest distribution fan-out that fits the memory budget for record
 /// type `T`: `f` writer block buffers + 1 reader block buffer + `f`
-/// memory-resident splitter records must total at most `M` words.
+/// memory-resident splitter records must total at most `M` words. A block
+/// buffer holds [`EmConfig::block_records_for_width`] records, so it costs
+/// `B` words when the record width divides `B`.
 pub fn max_distribution_fanout<T: Record>(config: EmConfig) -> usize {
     fanout_for_budget::<T>(config, config.mem_capacity())
 }
@@ -27,7 +29,7 @@ pub fn max_distribution_fanout_now<T: Record>(ctx: &EmContext) -> usize {
 }
 
 fn fanout_for_budget<T: Record>(config: EmConfig, budget: usize) -> usize {
-    let block_words = config.block_size() * T::WORDS;
+    let block_words = config.block_records_for_width(T::WORDS) * T::WORDS;
     let per_bucket = block_words + T::WORDS;
     // Reserve the scan reader's buffer plus two persistent caller-side
     // buffers (e.g. a partition sink's open writer held across the call).
@@ -129,7 +131,7 @@ pub fn stream_into<T: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emcore::{EmConfig, EmContext};
+    use emcore::{EmConfig, EmContext, KeyValue};
 
     fn ctx() -> EmContext {
         EmContext::new_in_memory_strict(EmConfig::tiny())
@@ -190,6 +192,32 @@ mod tests {
         // Must not panic in strict mode.
         let buckets = distribute(&file, &splitters).unwrap();
         assert_eq!(buckets.iter().map(|b| b.len()).sum::<u64>(), n);
+    }
+
+    #[test]
+    fn wide_record_fanout_counts_a_block_as_its_words() {
+        // A writer holds 8 `KeyValue`s (16 words) at M = 256, B = 16:
+        // (256 − 3·16) / (16 + 2) = 11 buckets, not (256 − 3·32) / 34 = 4.
+        let c = ctx();
+        let fmax = max_distribution_fanout::<KeyValue>(c.config());
+        assert_eq!(fmax, 11);
+        let n = 2000u64;
+        let data: Vec<KeyValue> = (0..n)
+            .rev()
+            .map(|k| KeyValue { key: k, value: k })
+            .collect();
+        let file = c.stats().paused(|| EmFile::from_slice(&c, &data)).unwrap();
+        let splitters: Vec<KeyValue> = (1..fmax as u64)
+            .map(|i| KeyValue {
+                key: i * n / fmax as u64,
+                value: 0,
+            })
+            .collect();
+        c.mem().reset_peak();
+        let buckets = distribute(&file, &splitters).unwrap();
+        assert_eq!(buckets.len(), 11);
+        assert_eq!(buckets.iter().map(|b| b.len()).sum::<u64>(), n);
+        assert!(c.mem().peak() <= 256, "peak {}", c.mem().peak());
     }
 
     #[test]
