@@ -75,7 +75,10 @@ pub(crate) fn target_sizes(spec: &ProblemSpec) -> Vec<u64> {
 }
 
 /// Approximate K-partitioning of `input` under `spec`. Dispatches on the
-/// spec's groundedness.
+/// spec's groundedness. Multi-partition samples its splitters as
+/// [`PartitionOptions::default`] does, from stratified blocks; pass
+/// [`emselect::SplitterStrategy::Deterministic`] to
+/// [`approx_partitioning_with`] for the paper's deterministic sampler.
 pub fn approx_partitioning<T: Record>(
     input: &EmFile<T>,
     spec: &ProblemSpec,

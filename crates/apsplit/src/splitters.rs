@@ -182,7 +182,7 @@ fn two_sided<T: Record>(
     // the (aK/B)·lg_{M/B}(K/B) term.
     let kh = k - kp;
     let high_n = spec.n - spec.a * kp;
-    let m = emselect::base_case_capacity(input, &opts);
+    let m = emselect::base_case_capacity::<T>(input.ctx(), &opts);
     if ((k - 1) as usize) <= 2 * m || spec.a * k * 8 > spec.n {
         let mut ranks: Vec<u64> = (1..=kp).map(|i| i * spec.a).collect();
         ranks.extend((1..kh).map(|i| spec.a * kp + (i * high_n) / kh));

@@ -7,7 +7,7 @@
 //! | paper | here |
 //! |---|---|
 //! | in-memory selection [BFPRT 1973] | [`select_rank_in_mem`], [`multi_select_in_mem`], [`median_of_five`] |
-//! | Hu et al.\[6\] linear-I/O Θ(M)-splitters (black box) | [`sample_splitters`] (deterministic + randomized; see DESIGN.md substitutions) |
+//! | Hu et al.\[6\] linear-I/O Θ(M)-splitters (black box) | [`sample_splitters`] (deterministic, randomized and stratified; see DESIGN.md substitutions) |
 //! | distribution step of [Aggarwal & Vitter 1988] | [`distribute`], [`three_way_split`] |
 //! | multi-partition, `O((N/B)·lg_{M/B} K)` (§1.2) | [`multi_partition`], [`multi_partition_at_ranks`] |
 //! | **L-intermixed selection** (§4.1, Lemma 6), `O(|D|/B)` | [`intermixed_select`] |
@@ -51,8 +51,8 @@ pub use multi_partition::{
     MpOptions,
 };
 pub use multi_select::{
-    base_case_capacity, base_case_capacity_n, multi_select, multi_select_segs, multi_select_window,
-    multi_select_with, quantiles, select_rank, MsBaseCase, MsOptions,
+    base_case_capacity, multi_select, multi_select_segs, multi_select_window, multi_select_with,
+    quantiles, select_rank, MsBaseCase, MsOptions,
 };
 pub use partition_out::{segs_len, ChainReader, Partition};
 pub use recover::{

@@ -50,8 +50,9 @@ pub enum MsBaseCase {
 /// Options for multi-selection (ablation hooks).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MsOptions {
-    /// Splitter sampling strategy used by both the base case and the
-    /// multi-partition levels.
+    /// Splitter sampling strategy of the base case's distribution levels.
+    /// The general case's multi-partition samples as
+    /// [`crate::MpOptions::default`] does.
     pub strategy: SplitterStrategy,
     /// Override the base-case group capacity `m` (testing/ablation);
     /// clamped to `[1, max_groups]`.
@@ -66,14 +67,8 @@ pub struct MsOptions {
 /// so a governor squeeze narrows the base case); for the paper-faithful
 /// intermixed engine `m` is [`crate::max_groups`], the `Θ(M/w)` groups one
 /// intermixed selection can run. `base_capacity_override` replaces `m`,
-/// clamped to `[1, max_groups]`.
-pub fn base_case_capacity<T: Record>(input: &EmFile<T>, opts: &MsOptions) -> usize {
-    base_case_capacity_n::<T>(input.ctx(), input.len(), opts)
-}
-
-/// [`base_case_capacity`] from an explicit input size, which the capacity
-/// does not depend on.
-pub fn base_case_capacity_n<T: Record>(ctx: &EmContext, _n: u64, opts: &MsOptions) -> usize {
+/// clamped to `[1, max_groups]`. It does not depend on the input size.
+pub fn base_case_capacity<T: Record>(ctx: &EmContext, opts: &MsOptions) -> usize {
     let groups_cap = max_groups::<T>(ctx.config());
     let m = match opts.base_case {
         // Pruned bookkeeping is ~3 words per rank; cap well inside the
@@ -189,7 +184,7 @@ fn multi_select_sorted<T: Record>(
     opts: &MsOptions,
 ) -> Result<Vec<T>> {
     let k = sorted.len();
-    let m = base_case_capacity_n::<T>(ctx, segs_len(segs), opts);
+    let m = base_case_capacity::<T>(ctx, opts);
     if k <= m {
         return base_case(ctx, segs, sorted, opts);
     }

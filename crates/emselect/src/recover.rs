@@ -57,7 +57,7 @@ use emcore::{
 };
 
 use crate::multi_partition::multi_partition_at_ranks;
-use crate::multi_select::{base_case_capacity_n, multi_select_segs, MsOptions};
+use crate::multi_select::{base_case_capacity, multi_select_segs, MsOptions};
 use crate::partition_out::{segs_len, Partition};
 
 /// Name of the multi-selection checkpoint journal within its backing store.
@@ -138,7 +138,7 @@ impl<T: Record> MultiSelectManifest<T> {
         let mut sorted: Vec<u64> = ranks.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let m = base_case_capacity_n::<T>(ctx, n, &opts);
+        let m = base_case_capacity::<T>(ctx, &opts);
         let groups = sorted.len().div_ceil(m.max(1));
         Ok(Self {
             ledger: WorkLedger::new(ctx, MULTI_SELECT_JOURNAL, Some(InputId::of(input))),
