@@ -32,6 +32,7 @@ mod distribute;
 mod intermixed;
 mod internal;
 mod internal_bounds;
+mod level;
 mod multi_partition;
 mod multi_select;
 mod partition_out;
