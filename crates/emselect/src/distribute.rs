@@ -84,8 +84,10 @@ pub fn distribute_segs<T: Record>(
 }
 
 /// Split `input` into three files `(less, equal, greater)` relative to
-/// `pivot` in one scan. The fallback path of multi-partition for inputs
-/// where a single key value dominates (no splitter set can spread those).
+/// `pivot` in one scan. The fallback of every distribution level of the
+/// rank recursions (multi-partition, [`crate::split_at_rank`],
+/// [`crate::multi_select`]) on inputs where a single key value dominates
+/// (no splitter set can spread those).
 pub fn three_way_split<T: Record>(
     input: &EmFile<T>,
     pivot: T::Key,
