@@ -10,8 +10,9 @@
 //!    and check the **recovery invariants**: the resumed output equals the
 //!    fault-free output exactly, total billed I/Os exceed the fault-free
 //!    cost by at most one work unit ([`emcore::WorkLedger::max_unit_ios`]),
-//!    `redone_ios` is within the same unit bound, and the backing directory
-//!    holds no orphaned block files or journal temp files afterwards.
+//!    `redone_ios` is within the same unit bound, and afterwards no slot
+//!    of the block store is held by anything but the inputs and the output
+//!    (and no journal temp file is left).
 //!
 //! Any violated invariant increments the `failures` column — the campaign
 //! reports rather than panics, so one bad crash point does not hide the
@@ -63,8 +64,8 @@ impl Algo {
 pub enum Backend {
     /// Host-RAM blocks.
     Memory,
-    /// Real files in a temporary directory (checksummed blocks, real
-    /// orphans).
+    /// A block store in a temporary directory (checksummed slots, real
+    /// leaks).
     Disk,
 }
 
@@ -99,8 +100,9 @@ pub(crate) struct RunOut {
     pub(crate) max_unit_ios: u64,
     /// Crash→resume cycles needed.
     pub(crate) resumes: u64,
-    /// Orphaned `em-*.bin` / `*.journal.tmp` files left behind (disk).
-    pub(crate) orphans: u64,
+    /// Block-store slots held by no live file, plus `*.journal.tmp`
+    /// files left behind (disk).
+    pub(crate) leaked: u64,
 }
 
 impl RunOut {
@@ -132,8 +134,11 @@ impl RunOut {
                 self.redone_ios
             ));
         }
-        if self.orphans > 0 {
-            bad.push(format!("{} orphaned files", self.orphans));
+        if self.leaked > 0 {
+            bad.push(format!(
+                "{} leaked slots or journal temp files",
+                self.leaked
+            ));
         }
         bad
     }
@@ -156,25 +161,21 @@ fn digest_parts(parts: &[Partition<u64>]) -> u64 {
     )
 }
 
-/// Orphan audit: block files on disk that are not in `live` (the inputs
-/// and the output), plus leftover journal temp files. Zero on the memory
-/// backend by construction.
-pub(crate) fn count_orphans(ctx: &EmContext, live: &[u64]) -> u64 {
-    let mut orphans = ctx
-        .list_file_ids()
-        .expect("list ids")
-        .into_iter()
-        .filter(|id| !live.contains(id))
-        .count() as u64;
+/// Leaked-slot audit: slots of the block store that no file in `live`
+/// (the inputs and the output) holds, slots neither held nor free, plus
+/// leftover journal temp files. Zero on the memory backend by construction.
+pub(crate) fn count_leaked(ctx: &EmContext, live: &[u64]) -> u64 {
+    let u = ctx.slot_usage(live);
+    let mut leaked = u.leaked() + u.slots.abs_diff(u.used + u.free);
     if let Some(dir) = ctx.backing_dir() {
         for entry in std::fs::read_dir(dir).expect("read backing dir") {
             let name = entry.expect("dir entry").file_name();
             if name.to_string_lossy().ends_with(".journal.tmp") {
-                orphans += 1;
+                leaked += 1;
             }
         }
     }
-    orphans
+    leaked
 }
 
 /// Drive `job` to completion, clearing each simulated crash of `plan` and
@@ -310,7 +311,7 @@ fn run_algo(
         attempts: plan.attempts(),
         max_unit_ios,
         resumes,
-        orphans: count_orphans(&ctx, &live),
+        leaked: count_leaked(&ctx, &live),
     })
 }
 
@@ -453,7 +454,7 @@ pub fn ex_recovery(scale: Scale) -> Table {
             ]);
         }
     }
-    t.note("invariants per crash point: resumed output identical to the fault-free output, exactly one crash→resume cycle, rework and redone_ios each ≤ the largest completed work unit, zero orphaned block/journal-temp files");
+    t.note("invariants per crash point: resumed output identical to the fault-free output, exactly one crash→resume cycle, rework and redone_ios each ≤ the largest completed work unit, zero leaked block-store slots and journal temp files");
     t.note("stride 1 = exhaustive (every device attempt); larger strides sample the attempt space uniformly under the points budget");
     t
 }

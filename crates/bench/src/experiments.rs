@@ -305,10 +305,12 @@ pub fn ex_separation(scale: Scale) -> Table {
             "mp bound",
         ],
     );
-    for k in [4u64, 64, 512, 4096, 16384] {
-        if k > n / 8 {
-            continue;
-        }
+    // The fixed K up to N/8, then K = N/5 and K = N: many ranks, where
+    // multi-selection must still cost about a sort.
+    let fixed = [4u64, 64, 512, 4096, 16384]
+        .into_iter()
+        .filter(|&k| k <= n / 8);
+    for k in fixed.chain([n / 5, n]) {
         // Near-even ranks/sizes (k need not divide n).
         let ranks: Vec<u64> = (1..=k).map(|i| (i * n) / k).collect();
         let (ctx, f) = fresh_input(n);
@@ -1130,17 +1132,35 @@ mod tests {
     fn separation_table_shape() {
         let t = ex_separation(Scale::Quick);
         assert!(t.rows.len() >= 3);
-        // Multi-select must track multi-partition within constant-factor
-        // noise everywhere (both are Θ(N/B·lg) problems; the bound gap is
-        // ≤ 2x at simulator scale).
+        // Up to K = N/8, multi-select must track multi-partition within
+        // constant-factor noise (both are Θ(N/B·lg) problems; the bound
+        // gap is ≤ 2x at simulator scale).
+        let n = Scale::Quick.n();
+        let num = |s: &str| s.parse::<f64>().unwrap();
         for row in &t.rows {
-            let ratio: f64 = row[3].parse().unwrap();
+            let (k, ratio) = (num(&row[0]), num(&row[3]));
+            if k > (n / 8) as f64 {
+                continue;
+            }
             assert!(
                 (0.7..=4.0).contains(&ratio),
                 "K={} ratio {} outside constant-factor band",
                 row[0],
                 ratio
             );
+        }
+        // At K = N/5 and K = N, multi-selection stays within a constant of
+        // its bound and never costs more than multi-partition.
+        let many: Vec<_> = t
+            .rows
+            .iter()
+            .filter(|r| num(&r[0]) > (n / 8) as f64)
+            .collect();
+        assert_eq!(many.len(), 2);
+        for row in many {
+            let (ms, mp, bound) = (num(&row[1]), num(&row[2]), num(&row[4]));
+            assert!(ms <= 8.0 * bound, "K={}: {ms} I/Os, bound {bound}", row[0]);
+            assert!(ms <= mp, "K={}: {ms} I/Os, multi-partition {mp}", row[0]);
         }
     }
 }

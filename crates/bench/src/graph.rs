@@ -35,7 +35,7 @@ use emgraph::{
 use emserve::{QueryServer, QueryService, ServeOptions};
 use workloads::{grid_edges, rmat_edges};
 
-use crate::crash_sweep::{count_orphans, resume_until_done, Backend, RunOut};
+use crate::crash_sweep::{count_leaked, resume_until_done, Backend, RunOut};
 use crate::harness::{emit, Scale, Table};
 
 const SEED: u64 = 20140623;
@@ -127,7 +127,7 @@ fn run_once(
         .map_err(|e| format!("digest: {e}"))?;
     // Only the raw input, the canonical graph and the labels may remain.
     let live = [raw.id(), g.edges().id(), g.offsets().id(), c.labels.id()];
-    let orphans = count_orphans(&ctx, &live);
+    let leaked = count_leaked(&ctx, &live);
 
     // Integration checks ride on the fault-free run only — a crashed run
     // has already proven what it set out to prove.
@@ -144,7 +144,7 @@ fn run_once(
             attempts: plan.attempts(),
             max_unit_ios: manifest.ledger().max_unit_ios(),
             resumes,
-            orphans,
+            leaked,
         },
         vertices: g.vertices(),
         edges: g.num_edges(),
@@ -287,10 +287,10 @@ pub fn graph_cell(
     if clean.resumes != 0 {
         fail(format!("{} resumes in the fault-free run", clean.resumes));
     }
-    if clean.orphans != 0 {
+    if clean.leaked != 0 {
         fail(format!(
-            "{} orphaned files after the fault-free run",
-            clean.orphans
+            "{} leaked slots or journal temp files after the fault-free run",
+            clean.leaked
         ));
     }
     if let Some(want) = expect_digest {
@@ -397,7 +397,7 @@ pub fn ex_graph(scale: Scale) -> Table {
             ]);
         }
     }
-    t.note("per cell: label digest identical across 1 and 4 workers and across the memory/disk backends; three mid-clustering crashes each resume in one cycle with rework and redone_ios ≤ the largest completed round; no orphaned files; clustering registers on the serve layer and bucketing hits the exact near-even quantile cuts");
+    t.note("per cell: label digest identical across 1 and 4 workers and across the memory/disk backends; three mid-clustering crashes each resume in one cycle with rework and redone_ios ≤ the largest completed round; no leaked block-store slots; clustering registers on the serve layer and bucketing hits the exact near-even quantile cuts");
     t.note("grid graphs are bipartite, so synchronous label propagation runs to the round budget by design; R-MAT converges or not depending on scale — either way the digest is the contract");
     t
 }

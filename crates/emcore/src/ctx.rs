@@ -1,5 +1,14 @@
 //! The execution context: model parameters + shared accounting + backing
 //! store for block files.
+//!
+//! A context's files live in host RAM ([`EmContext::new_in_memory`]) or in
+//! a directory ([`EmContext::new_on_disk`]). A directory context keeps
+//! every block of every file in one block store file of checksummed slots
+//! (see [`crate::SlotUsage`] and the `store` module), next to the journals
+//! of its recoverable jobs. Opened over a directory that already holds a
+//! store, it rebuilds the store's id → slots map from the slot trailers
+//! and numbers new files past every id it found, so a restarted process
+//! can reopen journaled files by `(id, len)`.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -17,12 +26,17 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::pool::BlockCache;
 use crate::record::Record;
 use crate::stats::{Counter, IoStats};
+use crate::store::{BlockStore, SlotUsage, Stores};
 use crate::trace::{JsonlSink, PointKind, TraceSink, Tracer};
 
 #[derive(Debug)]
 pub(crate) enum Backing {
     Memory,
-    Directory { dir: PathBuf, cleanup: bool },
+    Directory {
+        dir: PathBuf,
+        cleanup: bool,
+        stores: Stores,
+    },
 }
 
 #[derive(Debug)]
@@ -67,7 +81,10 @@ pub(crate) struct CtxInner {
 
 impl Drop for CtxInner {
     fn drop(&mut self) {
-        if let Backing::Directory { dir, cleanup: true } = &self.backing {
+        if let Backing::Directory {
+            dir, cleanup: true, ..
+        } = &self.backing
+        {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -122,21 +139,13 @@ impl EmContext {
         Self::build(config, Backing::Memory, true, MetricsRegistry::new())
     }
 
-    /// A context whose files are real files inside `dir` (created if
-    /// missing). The directory is left in place on drop; individual files
-    /// are deleted as their handles drop.
+    /// A context whose files live in a block store inside `dir` (created
+    /// if missing). A store already in `dir` is reopened: its files can be
+    /// reopened by id ([`EmContext::open_file`]), listed and swept, and new
+    /// files are numbered past them. The directory is left in place on
+    /// drop; a file's slots are freed as its handle drops.
     pub fn new_on_disk(config: EmConfig, dir: impl Into<PathBuf>) -> Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(Self::build(
-            config,
-            Backing::Directory {
-                dir,
-                cleanup: false,
-            },
-            false,
-            MetricsRegistry::new(),
-        ))
+        Self::on_disk(config, dir.into(), false, MetricsRegistry::new())
     }
 
     /// Like [`EmContext::new_on_disk`], but recording into the
@@ -147,17 +156,7 @@ impl EmContext {
         dir: impl Into<PathBuf>,
         metrics: MetricsRegistry,
     ) -> Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(Self::build(
-            config,
-            Backing::Directory {
-                dir,
-                cleanup: false,
-            },
-            false,
-            metrics,
-        ))
+        Self::on_disk(config, dir.into(), false, metrics)
     }
 
     /// A context backed by a fresh unique temporary directory, removed when
@@ -173,13 +172,29 @@ impl EmContext {
                 .unwrap_or(0)
         );
         dir.push(unique);
+        Self::on_disk(config, dir, true, MetricsRegistry::new())
+    }
+
+    fn on_disk(
+        config: EmConfig,
+        dir: PathBuf,
+        cleanup: bool,
+        metrics: MetricsRegistry,
+    ) -> Result<Self> {
         std::fs::create_dir_all(&dir)?;
-        Ok(Self::build(
+        let (stores, next_id) = Stores::open(&dir)?;
+        let ctx = Self::build(
             config,
-            Backing::Directory { dir, cleanup: true },
+            Backing::Directory {
+                dir,
+                cleanup,
+                stores,
+            },
             false,
-            MetricsRegistry::new(),
-        ))
+            metrics,
+        );
+        ctx.inner.next_file_id.store(next_id, Ordering::Relaxed);
+        Ok(ctx)
     }
 
     fn build(config: EmConfig, backing: Backing, strict: bool, metrics: MetricsRegistry) -> Self {
@@ -378,10 +393,11 @@ impl EmContext {
 
     /// Reopen an existing block file by id on the **directory backend** —
     /// the cross-process resume path. The file must hold `len` records of
-    /// `T` (written by a previous context over the same directory); its
-    /// size is validated against the block layout. The returned handle is
-    /// [`EmFile::persistent`], so dropping it does not delete the data, and
-    /// `next_file_id` is bumped past `id` so fresh files cannot collide.
+    /// `T` (written by this context or a previous one over the same
+    /// directory): the store must hold a slot for each of its blocks. The
+    /// returned handle is [`EmFile::persistent`], so dropping it does not
+    /// delete the data, and `next_file_id` is bumped past `id` so fresh
+    /// files cannot collide.
     pub fn open_file<T: Record>(&self, id: u64, len: u64) -> Result<EmFile<T>> {
         if matches!(self.inner.backing, Backing::Memory) {
             return Err(crate::error::EmError::config(
@@ -392,51 +408,52 @@ impl EmContext {
         EmFile::open_existing(self.clone(), id, len)
     }
 
-    /// Ids of all `em-*.bin` block files present in the backing directory
+    /// Ids of all files in the block store, ascending: those of open
+    /// handles, those kept for reopening, and those a rebuilt store found
     /// (empty on the memory backend, whose files live only in handles).
     pub fn list_file_ids(&self) -> Result<Vec<u64>> {
-        let Backing::Directory { dir, .. } = &self.inner.backing else {
-            return Ok(Vec::new());
-        };
-        let mut ids = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            if let Some(id) = parse_block_file_name(&entry.file_name()) {
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        Ok(ids)
+        Ok(match &self.inner.backing {
+            Backing::Memory => Vec::new(),
+            Backing::Directory { stores, .. } => stores.ids(),
+        })
     }
 
-    /// Remove block files in the backing directory whose id is not in
-    /// `keep`, plus any stale `*.journal.tmp` left by an interrupted
-    /// journal commit. Returns the ids of the removed block files.
+    /// Delete the files in the block store whose id is not in `keep`,
+    /// freeing their slots, plus any stale `*.journal.tmp` left by an
+    /// interrupted journal commit. Returns the ids of the deleted files.
+    /// A deleted file that still has an open handle is no longer listed
+    /// and its slots are freed when the handle drops.
     ///
     /// This is the resume-time orphan sweep: after a crash, temporary files
-    /// of the interrupted attempt may survive on disk without being
+    /// of the interrupted attempt may survive in the store without being
     /// referenced by any journal. Callers must list *every* live file
     /// (journaled manifest files plus independently-opened inputs) — the
     /// sweep assumes one job per backing directory.
     pub fn gc_orphans(&self, keep: &[u64]) -> Result<Vec<u64>> {
-        let Backing::Directory { dir, .. } = &self.inner.backing else {
+        let Backing::Directory { dir, stores, .. } = &self.inner.backing else {
             return Ok(Vec::new());
         };
-        let mut removed = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            if let Some(id) = parse_block_file_name(&name) {
-                if !keep.contains(&id) {
-                    std::fs::remove_file(entry.path())?;
-                    removed.push(id);
-                }
-            } else if name.to_string_lossy().ends_with(".journal.tmp") {
+            if entry
+                .file_name()
+                .to_string_lossy()
+                .ends_with(".journal.tmp")
+            {
                 std::fs::remove_file(entry.path())?;
             }
         }
-        removed.sort_unstable();
-        Ok(removed)
+        Ok(stores.sweep(keep))
+    }
+
+    /// Slot accounting of the block store, counting the slots of the
+    /// files in `live` apart (all zero on the memory backend).
+    /// [`SlotUsage::leaked`] is then what no live file holds.
+    pub fn slot_usage(&self, live: &[u64]) -> SlotUsage {
+        match &self.inner.backing {
+            Backing::Memory => SlotUsage::default(),
+            Backing::Directory { stores, .. } => stores.usage(live),
+        }
     }
 
     pub(crate) fn journal_get(&self, name: &str) -> Option<String> {
@@ -650,11 +667,15 @@ impl EmContext {
         r
     }
 
-    pub(crate) fn file_path(&self, id: u64) -> Option<PathBuf> {
-        match &self.inner.backing {
-            Backing::Memory => None,
-            Backing::Directory { dir, .. } => Some(dir.join(format!("em-{id:08}.bin"))),
-        }
+    /// The block store holding files of `T` (`None` in memory): slots of
+    /// `8·B` bytes, or of one block of `T` when that is larger.
+    pub(crate) fn block_store<T: Record>(&self) -> Result<Option<Arc<BlockStore>>> {
+        let Backing::Directory { stores, .. } = &self.inner.backing else {
+            return Ok(None);
+        };
+        let cfg = self.inner.config;
+        let payload = (8 * cfg.block_size()).max(cfg.block_records_for_width(T::WORDS) * T::BYTES);
+        stores.get(payload).map(Some)
     }
 }
 
@@ -662,12 +683,6 @@ impl EmContext {
 /// worker must not wedge the shared context for everyone else).
 fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Parse `em-<id>.bin` back to its id (inverse of [`EmContext::file_path`]).
-fn parse_block_file_name(name: &std::ffi::OsStr) -> Option<u64> {
-    let s = name.to_str()?;
-    s.strip_prefix("em-")?.strip_suffix(".bin")?.parse().ok()
 }
 
 #[cfg(test)]

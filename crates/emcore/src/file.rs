@@ -3,12 +3,18 @@
 //! An [`EmFile<T>`] is a sequence of records of `T` stored in blocks of `B`
 //! records. Reads and writes happen at block granularity and each transfer
 //! charges one I/O to the owning context's [`crate::IoStats`]. Two backends
-//! exist — host-RAM blocks for fast simulation and real files (fixed-width
-//! byte encoding) — with identical accounting.
+//! exist — host-RAM blocks for fast simulation and a directory's block
+//! store (fixed-width byte encoding) — with identical accounting.
 //!
 //! Files are append-only at the block level (only the last block may be
 //! partial), which is all the algorithms in this workspace need; random
 //! *reads* are allowed anywhere.
+//!
+//! On the directory backend a file is a list of slots in its context's one
+//! block store file (the `store` module): appending a block takes a slot
+//! from the store's free list, and clearing or dropping the file returns
+//! its slots. Creating and deleting a file is host bookkeeping, with no OS
+//! file made or unlinked.
 //!
 //! ## Device layer: faults, checksums, retries
 //!
@@ -16,16 +22,19 @@
 //!
 //! * If the context has a [`crate::FaultPlan`], each attempt consults it and
 //!   may fail transiently, tear the write, corrupt the payload, or crash.
-//! * On the file backend, each block is stored with an 8-byte checksum of
-//!   its payload ([`crate::block_checksum`]) at a fixed slot after the
-//!   block's full capacity. A block moves in one pass: a write encodes the
-//!   records and the checksum into one stride-sized buffer and writes it
-//!   with one call; a read fetches the whole stride with one call, verifies
-//!   the checksum and decodes the records from the same bytes. A mismatch,
-//!   or a file that ends inside the stride, surfaces [`EmError::Corrupt`]
-//!   (this is what catches torn writes, truncation and silent corruption).
-//!   The memory backend has no checksums — in-flight read corruption there
-//!   is silent, which is exactly the danger checksums exist to remove.
+//! * On the directory backend, each block fills one slot: its payload at
+//!   full capacity, then a trailer of file id, block index, write sequence
+//!   number and an 8-byte checksum ([`crate::block_checksum`]) of payload
+//!   and trailer fields together. A block moves in one pass: a write
+//!   encodes the records and the trailer into one slot-sized buffer and
+//!   writes it with one call; a read fetches the whole slot with one call,
+//!   verifies the checksum and that the trailer names this file and block,
+//!   and decodes the records from the same bytes. A mismatch, or a store
+//!   that ends inside the slot, surfaces [`EmError::Corrupt`] (this is what
+//!   catches torn writes, truncation, stale slots and silent corruption).
+//!   A retried write reuses its slot. The memory backend has no checksums —
+//!   in-flight read corruption there is silent, which is exactly the
+//!   danger checksums exist to remove.
 //! * Retryable failures (transient errors, checksum misses) are retried
 //!   under the context's [`crate::RetryPolicy`]; every failed-then-retried
 //!   attempt is charged to [`crate::Counters::retries`] and its backoff to
@@ -34,34 +43,31 @@
 //!   unchanged by this machinery.
 //!
 //! Byte counters (`bytes_read`/`bytes_written`) account payload only, not
-//! checksums, so they keep meaning "record bytes moved".
+//! trailers, so they keep meaning "record bytes moved".
 //!
 //! ## Logical vs physical I/O
 //!
 //! When the context has a [`crate::BlockCache`], a read that hits the cache
 //! is still charged one *logical* I/O (`reads` — the model's currency) but
 //! no *physical* transfer happens: the fault plan is not consulted and
-//! `physical_reads` does not move. A miss on the file backend fills the
-//! frame with the payload bytes the device read just verified. Writes are
-//! write-through (every write is physical) and invalidate any cached frame,
-//! so persisted corruption is still caught by the next physical read.
+//! `physical_reads` does not move. A miss on the directory backend fills
+//! the frame with the payload bytes the device read just verified. Writes
+//! are write-through (every write is physical) and invalidate any cached
+//! frame, so persisted corruption is still caught by the next physical
+//! read.
 
 use std::cell::RefCell;
-use std::fs::File;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
-use crate::checksum::block_checksum;
 use crate::ctx::EmContext;
 use crate::error::{EmError, Result};
 use crate::fault::{FaultKind, IoOp};
 use crate::memory::TrackedVec;
 use crate::record::Record;
 use crate::stats::Counter;
+use crate::store::BlockStore;
 use crate::trace::PointKind;
-
-/// Width of the per-block checksum on the file backend.
-const CHECKSUM_BYTES: usize = 8;
 
 thread_local! {
     /// Per-thread byte scratch for disk-backend block encode/decode.
@@ -73,7 +79,12 @@ thread_local! {
 #[derive(Debug)]
 enum Storage<T: Record> {
     Mem(Vec<Box<[T]>>),
-    Disk { file: File, path: PathBuf },
+    /// The slot of each block in the context's block store. After a failed
+    /// append it also holds the slot the retry of that block will reuse.
+    Disk {
+        store: Arc<BlockStore>,
+        slots: Vec<u64>,
+    },
 }
 
 /// Outcome of consulting the fault plan that the device handler must act on
@@ -183,7 +194,7 @@ pub struct EmFile<T: Record> {
     storage: Storage<T>,
     len: u64,
     id: u64,
-    /// When set, dropping the handle leaves the backing file on disk —
+    /// When set, dropping the handle leaves the file in the block store —
     /// used for files referenced by a checkpoint journal, which must
     /// survive a (simulated or real) process exit for resume.
     persistent: AtomicBool,
@@ -191,16 +202,14 @@ pub struct EmFile<T: Record> {
 
 impl<T: Record> EmFile<T> {
     pub(crate) fn create(ctx: EmContext, id: u64) -> Result<Self> {
-        let storage = match ctx.file_path(id) {
+        let storage = match ctx.block_store::<T>()? {
             None => Storage::Mem(Vec::new()),
-            Some(path) => {
-                let file = File::options()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(&path)?;
-                Storage::Disk { file, path }
+            Some(store) => {
+                store.create(id);
+                Storage::Disk {
+                    store,
+                    slots: Vec::new(),
+                }
             }
         };
         Ok(Self {
@@ -212,28 +221,18 @@ impl<T: Record> EmFile<T> {
         })
     }
 
-    /// Reopen an existing on-disk block file without truncating it (the
-    /// cross-process resume path; see [`crate::EmContext::open_file`]).
-    /// Validates the stored size against the block layout for `len`
-    /// records. The handle starts out persistent.
+    /// Reopen a file of the block store (the cross-process resume path;
+    /// see [`crate::EmContext::open_file`]). The store must hold a slot for
+    /// each block of `len` records. The handle starts out persistent.
     pub(crate) fn open_existing(ctx: EmContext, id: u64, len: u64) -> Result<Self> {
-        let path = ctx.file_path(id).ok_or_else(|| {
+        let store = ctx.block_store::<T>()?.ok_or_else(|| {
             EmError::config("open_existing: no backing directory for this context")
         })?;
-        let file = File::options().read(true).write(true).open(&path)?;
         let cap = ctx.config().block_records_for_width(T::WORDS);
-        let stride = (cap * T::BYTES + CHECKSUM_BYTES) as u64;
-        let want = len.div_ceil(cap as u64) * stride;
-        let have = file.metadata()?.len();
-        if have < want {
-            return Err(EmError::config(format!(
-                "open_existing: file em-{id:08}.bin holds {have} bytes, \
-                 {want} needed for {len} records"
-            )));
-        }
+        let slots = store.reopen(id, len.div_ceil(cap as u64))?;
         let f = Self {
             ctx,
-            storage: Storage::Disk { file, path },
+            storage: Storage::Disk { store, slots },
             len,
             id,
             persistent: AtomicBool::new(true),
@@ -244,7 +243,7 @@ impl<T: Record> EmFile<T> {
         Ok(f)
     }
 
-    /// Mark whether the backing file should survive this handle's drop.
+    /// Mark whether the file should survive this handle's drop.
     /// Recoverable algorithms set this when a file becomes referenced by a
     /// checkpoint journal and clear it when the reference is retired, so
     /// intentional releases delete data as usual.
@@ -253,7 +252,7 @@ impl<T: Record> EmFile<T> {
         self.persistent.store(keep, Ordering::Relaxed);
     }
 
-    /// Whether the backing file survives this handle's drop.
+    /// Whether the file survives this handle's drop.
     #[inline]
     pub fn persistent(&self) -> bool {
         self.persistent.load(Ordering::Relaxed)
@@ -306,12 +305,6 @@ impl<T: Record> EmFile<T> {
         (self.len - start).min(b) as usize
     }
 
-    /// On-disk stride of one block: full payload capacity plus checksum.
-    #[inline]
-    fn disk_stride(&self) -> u64 {
-        (self.block_capacity() * T::BYTES + CHECKSUM_BYTES) as u64
-    }
-
     /// One device read attempt: consult the fault plan, transfer, verify.
     /// Feeds the physical-transfer latency histogram when metrics are
     /// live; disabled metrics cost exactly one branch here.
@@ -345,10 +338,8 @@ impl<T: Record> EmFile<T> {
                 self.ctx.stats().record_read_block(self.id, block, 0);
                 self.ctx.stats().add(Counter::PhysicalReads, 1);
             }
-            Storage::Disk { file, .. } => {
-                use std::os::unix::fs::FileExt;
+            Storage::Disk { store, slots } => {
                 let bytes = count * T::BYTES;
-                let stride = self.disk_stride();
                 let corrupt = || {
                     self.ctx.stats().add(Counter::CorruptReads, 1);
                     EmError::Corrupt {
@@ -357,27 +348,24 @@ impl<T: Record> EmFile<T> {
                     }
                 };
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.resize(stride as usize, 0);
-                    // One read of the whole stride, payload and checksum
-                    // together. A file cut short inside the stride is a
+                    sc.resize(store.stride(), 0);
+                    // One read of the whole slot, payload and trailer
+                    // together. A store cut short inside the slot is a
                     // damaged block, not an I/O failure.
-                    file.read_exact_at(sc, block * stride).map_err(|e| {
+                    store.read_slot(slots[block as usize], sc).map_err(|e| {
                         if e.kind() == std::io::ErrorKind::UnexpectedEof {
                             corrupt()
                         } else {
                             e.into()
                         }
                     })?;
-                    let (payload, sum) = sc.split_at_mut(stride as usize - CHECKSUM_BYTES);
-                    let payload = &mut payload[..bytes];
                     if matches!(injected, Injected::Corrupt) && bytes > 0 {
-                        payload[0] ^= 1;
+                        sc[0] ^= 1;
                     }
-                    let stored = u64::from_le_bytes(sum.try_into().map_err(|_| corrupt())?);
-                    if block_checksum(payload) != stored {
+                    if !store.verify(sc, self.id, block) {
                         return Err(corrupt());
                     }
-                    buf.extend(payload.chunks_exact(T::BYTES).map(T::read_bytes));
+                    buf.extend(sc[..bytes].chunks_exact(T::BYTES).map(T::read_bytes));
                     Ok(())
                 })?;
                 self.ctx
@@ -390,16 +378,16 @@ impl<T: Record> EmFile<T> {
         Ok(())
     }
 
-    /// One device write attempt into block slot `slot`. Timed like
+    /// One device write attempt of block `block`. Timed like
     /// [`Self::device_read`].
-    fn device_write(&mut self, slot: u64, data: &[T]) -> Result<()> {
+    fn device_write(&mut self, block: u64, data: &[T]) -> Result<()> {
         let t0 = self
             .ctx
             .inner
             .metrics
             .enabled()
             .then(std::time::Instant::now);
-        let r = self.device_write_raw(slot, data);
+        let r = self.device_write_raw(block, data);
         if let Some(t0) = t0 {
             self.ctx
                 .inner
@@ -409,13 +397,12 @@ impl<T: Record> EmFile<T> {
         r
     }
 
-    fn device_write_raw(&mut self, slot: u64, data: &[T]) -> Result<()> {
+    fn device_write_raw(&mut self, block: u64, data: &[T]) -> Result<()> {
         let injected = consult_plan(&self.ctx, IoOp::Write, self.id)?;
-        let stride = self.disk_stride();
         match &mut self.storage {
             Storage::Mem(blocks) => {
                 let store = |blocks: &mut Vec<Box<[T]>>, payload: Box<[T]>| {
-                    let s = slot as usize;
+                    let s = block as usize;
                     if s < blocks.len() {
                         blocks[s] = payload;
                     } else {
@@ -440,50 +427,45 @@ impl<T: Record> EmFile<T> {
                     }
                     Injected::None => store(blocks, data.to_vec().into_boxed_slice()),
                 }
-                self.ctx.stats().record_write_block(self.id, slot, 0);
+                self.ctx.stats().record_write_block(self.id, block, 0);
                 self.ctx.stats().add(Counter::PhysicalWrites, 1);
             }
-            Storage::Disk { file, .. } => {
-                use std::os::unix::fs::FileExt;
+            Storage::Disk { store, slots } => {
                 let bytes = data.len() * T::BYTES;
-                let cap_bytes = stride as usize - CHECKSUM_BYTES;
-                let off = slot * stride;
+                let slot = slots[block as usize];
                 SCRATCH.with_borrow_mut(|sc| {
-                    sc.resize(stride as usize, 0);
+                    sc.resize(store.stride(), 0);
                     for (r, out) in data.iter().zip(sc.chunks_exact_mut(T::BYTES)) {
                         r.write_bytes(out);
                     }
-                    // A partial block's unused capacity is written as zeroes.
-                    sc[bytes..cap_bytes].fill(0);
-                    // Checksum covers the payload as it *should* be; a
-                    // corrupting fault damages the payload after this point so
-                    // the damage is detectable on read.
-                    let sum = block_checksum(&sc[..bytes]);
-                    sc[cap_bytes..].copy_from_slice(&sum.to_le_bytes());
+                    store.seal(sc, bytes, self.id, block);
                     match injected {
                         Injected::Torn(index) => {
-                            // Persist only a payload prefix; the checksum slot
-                            // keeps whatever it held (zeroes for a fresh block),
-                            // so a read of the torn block reports Corrupt.
-                            file.write_all_at(&sc[..bytes / 2], off)?;
+                            // Persist only a payload prefix; the trailer keeps
+                            // whatever the slot held (zeroes for a fresh slot,
+                            // a stale trailer for a reused one), so a read of
+                            // the torn block reports Corrupt.
+                            store.write_slot(slot, &sc[..bytes / 2])?;
                             return Err(EmError::Transient {
                                 op: IoOp::Write,
                                 index,
                             });
                         }
                         Injected::Corrupt => {
+                            // The checksum covers the payload as it *should*
+                            // be, so the damage is detectable on read.
                             if bytes > 0 {
                                 sc[0] ^= 1;
                             }
                         }
                         Injected::None => {}
                     }
-                    file.write_all_at(&sc[..], off)?;
+                    store.write_slot(slot, sc)?;
                     Ok(())
                 })?;
                 self.ctx
                     .stats()
-                    .record_write_block(self.id, slot, bytes as u64);
+                    .record_write_block(self.id, block, bytes as u64);
                 self.ctx.stats().add(Counter::PhysicalWrites, 1);
                 throttle_device(&self.ctx);
             }
@@ -572,25 +554,36 @@ impl<T: Record> EmFile<T> {
                 "append_block: file ends in a partial block; only the last block may be partial",
             ));
         }
-        let slot = self.len / b as u64;
-        // Write-through: any cached frame for this slot (possible after a
+        let block = self.len / b as u64;
+        // Write-through: any cached frame for this block (possible after a
         // `clear`) must not outlive the device write.
-        self.ctx.cache().invalidate(self.id, slot);
+        self.ctx.cache().invalidate(self.id, block);
+        if let Storage::Disk { store, slots } = &mut self.storage {
+            // The block's slot is taken once: retries, and a later append
+            // after this one failed, write into the same slot.
+            if slots.len() as u64 == block {
+                slots.push(store.slot_for(self.id, block));
+            }
+        }
         let ctx = self.ctx.clone();
-        with_retries(&ctx, || self.device_write(slot, data))?;
+        with_retries(&ctx, || self.device_write(block, data))?;
         self.len += data.len() as u64;
         // Appends always occupy a fresh block slot on success.
         self.ctx.tracer().note_blocks_alloc(1);
         Ok(())
     }
 
-    /// Remove all records (block storage is released / the backing file is
-    /// truncated). Does not charge I/O — dropping data is free in the model.
+    /// Remove all records (block storage is released / the file's slots
+    /// return to the store). Does not charge I/O — dropping data is free in
+    /// the model.
     pub fn clear(&mut self) -> Result<()> {
         let released = self.num_blocks();
         match &mut self.storage {
             Storage::Mem(blocks) => blocks.clear(),
-            Storage::Disk { file, .. } => file.set_len(0)?,
+            Storage::Disk { store, slots } => {
+                store.clear(self.id);
+                slots.clear();
+            }
         }
         self.len = 0;
         self.ctx.cache().invalidate_file(self.id);
@@ -638,15 +631,16 @@ impl<T: Record> EmFile<T> {
 
 impl<T: Record> Drop for EmFile<T> {
     fn drop(&mut self) {
-        if self.persistent() {
-            // The backing file survives: its blocks stay in the gauge.
+        let keep = self.persistent();
+        if let Storage::Disk { store, .. } = &self.storage {
+            store.close(self.id, keep);
+        }
+        if keep {
+            // The file survives: its blocks stay in the gauge.
             return;
         }
         self.ctx.cache().invalidate_file(self.id);
         self.ctx.tracer().note_blocks_free(self.num_blocks());
-        if let Storage::Disk { path, .. } = &self.storage {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -993,17 +987,50 @@ mod tests {
         assert_eq!(f.num_blocks(), 0);
     }
 
+    /// The one block store file in `ctx`'s directory.
+    fn store_path(ctx: &EmContext) -> std::path::PathBuf {
+        let dir = ctx.backing_dir().unwrap();
+        let stores: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "store"))
+            .collect();
+        assert_eq!(stores.len(), 1, "{stores:?}");
+        stores[0].clone()
+    }
+
     #[test]
     fn disk_file_removed_on_drop() {
         let ctx = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
         let f = EmFile::from_slice(&ctx, &[1u64]).unwrap();
-        let path = match &f.storage {
-            Storage::Disk { path, .. } => path.clone(),
-            _ => unreachable!(),
+        let id = f.id();
+        assert_eq!(ctx.list_file_ids().unwrap(), vec![id]);
+        let held = crate::SlotUsage {
+            slots: 1,
+            free: 0,
+            used: 1,
+            live: 1,
         };
-        assert!(path.exists());
+        assert_eq!(ctx.slot_usage(&[id]), held);
         drop(f);
-        assert!(!path.exists());
+        // The file is gone and its slot is free; no OS file was made or
+        // unlinked for it.
+        assert!(ctx.list_file_ids().unwrap().is_empty());
+        let freed = crate::SlotUsage {
+            slots: 1,
+            free: 1,
+            used: 0,
+            live: 0,
+        };
+        assert_eq!(ctx.slot_usage(&[id]), freed);
+        let names: Vec<_> = std::fs::read_dir(ctx.backing_dir().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("blocks-128.store")]);
+        // The next block reuses the freed slot.
+        let g = EmFile::from_slice(&ctx, &[2u64]).unwrap();
+        assert_eq!(ctx.slot_usage(&[g.id()]), held);
     }
 
     #[test]
@@ -1028,9 +1055,8 @@ mod tests {
             assert!(g.id() > id);
             // Un-persisting restores normal drop semantics.
             f.set_persistent(false);
-            let path = ctx.file_path(id).unwrap();
             drop(f);
-            assert!(!path.exists());
+            assert!(!ctx.list_file_ids().unwrap().contains(&id));
         }
         std::fs::remove_dir_all(&base).unwrap();
     }
@@ -1042,9 +1068,9 @@ mod tests {
         let f = EmFile::from_slice(&ctx, &data).unwrap();
         f.set_persistent(true);
         let id = f.id();
-        // Cut the file inside the last stride, behind the open handle's
-        // back (the checksum slot of block 2 is lost).
-        let path = ctx.file_path(id).unwrap();
+        // Cut the store inside the last slot, behind the open handle's
+        // back (the checksum of block 2 is lost).
+        let path = store_path(&ctx);
         let size = std::fs::metadata(&path).unwrap().len();
         std::fs::File::options()
             .write(true)
@@ -1470,8 +1496,23 @@ mod tests {
         for b in 0..one.num_blocks() {
             assert_eq!(all.block_len(b), one.block_len(b));
         }
-        let bytes = |f: &EmFile<u64>| std::fs::read(ctx.file_path(f.id()).unwrap()).unwrap();
-        assert_eq!(bytes(&one), bytes(&all));
+        // The stored payloads match; the trailers differ in file id and
+        // write sequence number.
+        let payloads = |f: &EmFile<u64>| {
+            let Storage::Disk { store, slots } = &f.storage else {
+                unreachable!("a disk context")
+            };
+            slots
+                .iter()
+                .map(|&slot| {
+                    let mut b = vec![0u8; store.stride()];
+                    store.read_slot(slot, &mut b).unwrap();
+                    b.truncate(store.payload());
+                    b
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(payloads(&one), payloads(&all));
         assert_eq!(all.to_vec().unwrap(), data);
     }
 

@@ -18,7 +18,8 @@
 //!   restore it mid-run and algorithms adapt at phase boundaries
 //!   (`EmContext::set_mem_budget`).
 //! * [`EmContext`] — a "machine": config + shared [`IoStats`] +
-//!   [`MemoryTracker`] + backing store (host RAM or a real directory).
+//!   [`MemoryTracker`] + backing store (host RAM, or one block store file
+//!   of checksummed slots in a directory; see [`SlotUsage`]).
 //! * [`EmFile`] — a typed sequence of records stored in `B`-word blocks;
 //!   [`Reader`]/[`Writer`] give block-buffered sequential access, a record
 //!   or a block slice at a time.
@@ -72,6 +73,7 @@ pub mod report;
 mod rng;
 mod spill;
 mod stats;
+mod store;
 pub mod trace;
 
 pub use checksum::block_checksum;
@@ -95,6 +97,7 @@ pub use report::{SpanNode, TraceReport};
 pub use rng::SplitMix64;
 pub use spill::SpillVec;
 pub use stats::{Counters, IoStats, PhaseGuard};
+pub use store::SlotUsage;
 pub use trace::{
     FileAccess, JsonlSink, PointKind, RingSink, TraceEvent, TraceSink, Tracer, HEAT_BUCKETS,
 };

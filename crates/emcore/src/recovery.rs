@@ -714,6 +714,11 @@ mod tests {
         let ids = ctx.list_file_ids().unwrap();
         assert!(ids.contains(&input.id()) && ids.contains(&kept), "{ids:?}");
         assert!(!ids.contains(&orphan_id), "orphan swept: {ids:?}");
+        assert_eq!(
+            ctx.slot_usage(&ids).leaked(),
+            0,
+            "the orphan's slot is freed"
+        );
         assert!(!dir.join("fake-manifest.journal.tmp").exists());
         let files = doc.open::<u64>(&ctx, "files").unwrap();
         assert_eq!(files[0].to_vec().unwrap(), vec![1, 2, 3]);

@@ -423,6 +423,29 @@ fn pruned_select_external<T: Record>(
         out.extend(base_case(ctx, segs, &ranks, opts)?);
         return Ok(());
     }
+    // Many ranks on records that fit in memory: load them once and answer
+    // the rank range in slices of `slice_cap`, streamed from the rank file.
+    // Selecting a slice leaves the records above its last rank in the
+    // suffix past it, which is where the next slice's ranks fall.
+    if fits_in_memory::<T>(ctx, n) {
+        let mut buf = load_segs(ctx, segs, "pruned-select base buffer")?;
+        let mut ranks = ctx.try_tracked_words::<u64>(slice_cap, "external rank slice")?;
+        let mut r = rank_file.reader_at(lo)?;
+        let mut done = 0u64;
+        for start in (lo..hi).step_by(slice_cap) {
+            ranks.clear();
+            for _ in start..hi.min(start + slice_cap as u64) {
+                let v = r
+                    .next()?
+                    .ok_or_else(|| EmError::config("rank range exceeds rank file"))?;
+                ranks.push(v - offset - done);
+            }
+            let suffix = &mut buf[done as usize..];
+            out.extend(crate::internal::multi_select_in_mem(suffix, &ranks));
+            done += ranks.last().copied().unwrap_or(0);
+        }
+        return Ok(());
+    }
     // Many ranks on a large input: one distribution level, then route the
     // rank range to pieces by streaming it once.
     debug_assert!(k <= n);

@@ -395,6 +395,24 @@ impl<T: Record> SplitterIndex<T> {
         Ok(idx)
     }
 
+    /// Ids of the files the index journal of dataset `name` references —
+    /// its snapshot with its log replayed, the dataset's file included —
+    /// without opening them. Empty when the dataset has no index journal.
+    pub(crate) fn journaled_file_ids(ctx: &EmContext, name: &str) -> Result<Vec<u64>> {
+        let journal = Journal::new(ctx, format!("serve-index-{name}"))?;
+        let Some(mut img) = journal.load::<IndexImage<T>>()? else {
+            return Ok(Vec::new());
+        };
+        for record in &journal.read_log(img.generation)?.0 {
+            img.apply(record)?;
+        }
+        let segs = img
+            .segs
+            .iter()
+            .flat_map(|s| s.files.iter().map(|&(id, _)| id));
+        Ok(std::iter::once(img.dataset_file).chain(segs).collect())
+    }
+
     /// Reopen a journaled skeleton's files and check its invariants.
     fn reopen(&self, segs: Vec<SegImage<T>>, marks: BTreeMap<u64, T>) -> Result<Vec<Segment<T>>> {
         let mut segments = Vec::with_capacity(segs.len());
@@ -475,7 +493,9 @@ impl<T: Record> SplitterIndex<T> {
         out
     }
 
-    /// File ids referenced by the skeleton (for orphan GC).
+    /// File ids referenced by the skeleton, the dataset's included: what
+    /// a restarted server keeps when it sweeps its block store (see
+    /// [`crate::QueryServer::start`]).
     pub fn live_file_ids(&self) -> Vec<u64> {
         let mut ids = vec![self.dataset.id()];
         for s in &self.segments {

@@ -746,8 +746,16 @@ impl<T: Record> QueryServer<T> {
     /// scheduler reads time from [`EmContext::clock`] and records into
     /// [`EmContext::metrics`] — install a `ManualClock` or enable the
     /// registry *before* starting the server.
+    ///
+    /// On the directory backend, start first sweeps the block store: every
+    /// file that neither the catalog nor a dataset's index journal
+    /// references is deleted and its slots freed. That is what a crashed
+    /// registration or refinement of an earlier process left behind. The
+    /// server owns its context's store, so make no other files on `ctx`
+    /// before starting it.
     pub fn start(ctx: &EmContext, opts: ServeOptions) -> Result<Self> {
         let catalog = Catalog::open(ctx)?;
+        sweep_store::<T>(ctx, &catalog)?;
         let (tx, rx) = mpsc::sync_channel::<Req<T>>(opts.queue_depth.max(1));
         let clock = ctx.clock();
         let depth = Arc::new(AtomicU64::new(0));
@@ -803,6 +811,31 @@ impl<T: Record> QueryServer<T> {
             .join()
             .map_err(|_| EmError::unavailable("query server scheduler panicked"))
     }
+}
+
+/// Delete every file of `ctx`'s block store that neither `catalog` nor an
+/// index journal of its datasets references. A dataset of another record
+/// width, or an index journal that does not load, leaves the store as it
+/// is: its files cannot be told from orphans, and the query that opens it
+/// reports the error.
+pub(crate) fn sweep_store<T: Record>(ctx: &EmContext, catalog: &Catalog) -> Result<()> {
+    if ctx.backing_dir().is_none() {
+        return Ok(());
+    }
+    let mut keep = Vec::new();
+    for name in catalog.names() {
+        let entry = catalog.entry(&name).expect("a listed dataset");
+        if entry.words != T::WORDS as u64 {
+            return Ok(());
+        }
+        keep.push(entry.id);
+        match SplitterIndex::<T>::journaled_file_ids(ctx, &name) {
+            Ok(ids) => keep.extend(ids),
+            Err(_) => return Ok(()),
+        }
+    }
+    ctx.gc_orphans(&keep)?;
+    Ok(())
 }
 
 impl<T: Record> Drop for QueryServer<T> {

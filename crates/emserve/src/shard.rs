@@ -145,11 +145,17 @@ impl<T: Record> Router<T> {
     /// shard's scheduler reopens its stores from its own catalog on
     /// first query. Errors if the fleet is empty or a journaled map was
     /// built for a different fleet size or record type.
+    ///
+    /// Like each shard's [`QueryServer::start`], the router sweeps its own
+    /// context's block store on the directory backend. Its catalog holds
+    /// only shard maps, so what it frees are the temporaries of an earlier
+    /// process's registrations.
     pub fn start(ctx: &EmContext, shard_ctxs: &[EmContext], opts: ServeOptions) -> Result<Self> {
         if shard_ctxs.is_empty() {
             return Err(EmError::config("router needs at least one shard"));
         }
         let catalog = Catalog::open(ctx)?;
+        crate::server::sweep_store::<T>(ctx, &catalog)?;
         let mut shards = Vec::with_capacity(shard_ctxs.len());
         for sc in shard_ctxs {
             let server = QueryServer::<T>::start(sc, opts)?;

@@ -392,10 +392,12 @@ fn partitioning_crash_sweep_exhaustive() {
     }
 }
 
-/// Block files on disk outside `live`, plus stale journal temp files.
+/// Files in the block store outside `live`, slots they do not hold, plus
+/// stale journal temp files.
 fn orphans_on_disk(c: &EmContext, live: &[u64]) -> usize {
     let stray = c.list_file_ids().unwrap();
     let stray = stray.iter().filter(|id| !live.contains(id)).count();
+    let stray = stray + c.slot_usage(live).leaked() as usize;
     let tmp = std::fs::read_dir(c.backing_dir().unwrap())
         .unwrap()
         .filter(|e| {
@@ -466,8 +468,9 @@ fn sort_manifest_survives_process_restart_on_disk() {
     // Cross-process resume: crash a sort backed by a *fixed* directory,
     // drop every handle (simulating process death), reopen the directory
     // in a brand-new context, load the manifest from its journal, and
-    // finish the sort. A planted orphan block file and a stale journal
-    // temp file must be garbage-collected by the load.
+    // finish the sort. A planted orphan file in the block store, a slot
+    // cut short at the store's end and a stale journal temp file must be
+    // garbage-collected (or ignored) by the load.
     let mut dir = std::env::temp_dir();
     dir.push(format!("em-splitters-xproc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -507,8 +510,25 @@ fn sort_manifest_survives_process_restart_on_disk() {
         "journal must survive the first process"
     );
 
-    // Plant garbage a real crash could leave behind.
-    std::fs::write(dir.join("em-00004242.bin"), b"stale block file").unwrap();
+    // Plant garbage a real crash could leave behind: a file kept in the
+    // store that no journal references, a slot cut short at the store's
+    // end, and a torn journal commit.
+    let stale = {
+        let c = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+        let f = EmFile::from_slice(&c, &[0xdead_u64; 40]).unwrap();
+        f.set_persistent(true);
+        f.id()
+    };
+    let store = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "store"))
+        .expect("one block store");
+    {
+        use std::io::Write;
+        let mut f = std::fs::File::options().append(true).open(&store).unwrap();
+        f.write_all(b"stale block file").unwrap();
+    }
     std::fs::write(dir.join("sort-manifest.journal.tmp"), b"torn commit").unwrap();
 
     // Phase 2: second "process" — reload from disk and finish.
@@ -521,9 +541,15 @@ fn sort_manifest_survives_process_restart_on_disk() {
         let f2 = c2
             .open_file::<u64>(input_identity.id, input_identity.len)
             .unwrap();
+        let listed = c2.list_file_ids().unwrap();
         assert!(
-            !dir.join("em-00004242.bin").exists(),
-            "orphan block file must be garbage-collected on load"
+            !listed.contains(&stale),
+            "orphan file must be garbage-collected on load: {listed:?}"
+        );
+        assert_eq!(
+            c2.slot_usage(&listed).leaked(),
+            0,
+            "the orphan's slots must be freed on load"
         );
         assert!(
             !dir.join("sort-manifest.journal.tmp").exists(),

@@ -197,14 +197,101 @@ fn oversized_record_still_moves_as_one_unit() {
         }
     }
     let cfg = EmConfig::new(512, 16).unwrap(); // B = 16 words < 32-word record
-    let ctx = EmContext::new_in_memory(cfg);
     let data: Vec<Fat> = (0..10u64)
         .map(|i| Fat {
             key: i,
             pad: [i; 31],
         })
         .collect();
-    let f = EmFile::from_slice(&ctx, &data).unwrap();
-    assert_eq!(f.num_blocks(), 10, "one record per block");
-    assert_eq!(f.to_vec().unwrap(), data);
+    // On disk a block of `Fat` overflows a slot of B words, so its files
+    // get a store of 256-byte slots next to the one of 128-byte slots.
+    let disk = EmContext::new_on_disk_temp(cfg).unwrap();
+    for ctx in [EmContext::new_in_memory(cfg), disk.clone()] {
+        let f = EmFile::from_slice(&ctx, &data).unwrap();
+        assert_eq!(f.num_blocks(), 10, "one record per block");
+        assert_eq!(f.to_vec().unwrap(), data);
+        let narrow = EmFile::from_slice(&ctx, &[1u64, 2, 3]).unwrap();
+        assert_eq!(narrow.to_vec().unwrap(), [1, 2, 3]);
+    }
+    let mut stores: Vec<String> = std::fs::read_dir(disk.backing_dir().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    stores.sort();
+    assert_eq!(stores, ["blocks-128.store", "blocks-256.store"]);
+}
+
+#[test]
+fn disk_jobs_keep_every_block_in_one_store_file() {
+    // Every file of a directory context lives in one block store: a
+    // multi-partition and an external sort (dozens of temporary files)
+    // leave one store file, plus the journals of recoverable jobs, and no
+    // file per `EmFile`.
+    let ctx = EmContext::new_on_disk_temp(EmConfig::medium()).unwrap(); // B = 64
+    let input = materialize(&ctx, Workload::UniformPerm, 20_000, 3).unwrap();
+    let parts = emselect::multi_partition(&input, &[5_000; 4]).unwrap();
+    assert_eq!(parts.len(), 4);
+    let sorted = external_sort(&input).unwrap();
+    let mut m = SortManifest::new(&ctx, None);
+    let resorted = run_recoverable(&ctx, &mut SortJob::new(&input, &mut m)).unwrap();
+    assert_eq!(resorted.to_vec().unwrap(), sorted.to_vec().unwrap());
+    let created = ctx.create_file::<u64>().unwrap().id();
+    assert!(created > 20, "the jobs made {created} files");
+
+    let dir = ctx.backing_dir().unwrap();
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let (stores, rest): (Vec<&String>, Vec<&String>) =
+        names.iter().partition(|n| n.ends_with(".store"));
+    assert_eq!(stores, ["blocks-512.store"], "{names:?}");
+    assert!(rest.iter().all(|n| n.ends_with(".journal")), "{names:?}");
+    assert!(!names
+        .iter()
+        .any(|n| n.starts_with("em-") && n.ends_with(".bin")));
+    // The live files hold every used slot; the rest are free for reuse.
+    let mut live = vec![input.id(), sorted.id(), resorted.id()];
+    for p in &parts {
+        live.extend(p.segments().iter().map(|s| s.id()));
+    }
+    let u = ctx.slot_usage(&live);
+    assert_eq!((u.leaked(), u.used + u.free), (0, u.slots), "{u:?}");
+}
+
+#[test]
+fn quantiles_at_many_ranks_cost_about_a_sort() {
+    // Theorem 4 bounds multi-selection by O((N/B)·lg_{M/B}(K/B)), never
+    // more than a sort. At q = N/5 and q = N ranks, `quantiles` costs at
+    // most 1.3 and 2.1 times an external sort of the same input, within M.
+    let (n, m) = (200_000u64, 16_384);
+    let ctx = EmContext::new_in_memory_strict(EmConfig::new(m, 256).unwrap());
+    let input = ctx
+        .stats()
+        .paused(|| materialize(&ctx, Workload::UniformPerm, n, 11))
+        .unwrap();
+    let cost = |f: &dyn Fn()| {
+        let before = ctx.stats().snapshot();
+        f();
+        ctx.stats().snapshot().since(&before).total_ios()
+    };
+    let sort = cost(&|| drop(external_sort(&input).unwrap()));
+    for (q, ratio) in [(n / 5, 1.3), (n, 2.1)] {
+        let ios = cost(&|| {
+            let got = quantiles(&input, q).unwrap();
+            assert_eq!(got.len() as u64, q - 1);
+            // A permutation of 0..n: rank r holds r - 1.
+            for (i, x) in got.iter().enumerate() {
+                let r = ((i as u64 + 1) * n / q).max(1);
+                assert_eq!(*x, r - 1, "q = {q}, rank {r}");
+            }
+        });
+        assert!(
+            ios as f64 <= ratio * sort as f64,
+            "q = {q}: {ios} I/Os, {:.2}× the sort's {sort}",
+            ios as f64 / sort as f64
+        );
+    }
+    assert!(ctx.mem().peak() <= m, "peak {}", ctx.mem().peak());
 }

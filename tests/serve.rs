@@ -327,6 +327,65 @@ fn wait_timeout_never_hangs_on_a_wedged_or_killed_server() {
     killer.join().unwrap().unwrap();
 }
 
+/// Kill a server partway through a refining batch, at several device
+/// attempts, and restart it over the same store as a new process would.
+/// The restarted server's sweep must free every slot that its catalog and
+/// index journal do not reference, and its answers must be exact.
+#[test]
+fn restart_after_a_crashed_refinement_leaks_no_slot() {
+    let dir = std::env::temp_dir().join(format!("em-serve-sweep-{}", std::process::id()));
+    let n = 2000u64;
+    let ranks = vec![1, n / 4, n / 2, 3 * n / 4, n];
+    let want: Vec<u64> = ranks.iter().map(|&r| r - 1).collect();
+    // One session; a crash at device attempt `crash_at` of the refining
+    // batch (none: count the batch's attempts). Returns the attempts.
+    let session = |crash_at: Option<u64>| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+        let mut server = QueryServer::<u64>::start(&ctx, ServeOptions::default()).unwrap();
+        let client = server.client().unwrap();
+        client.register("ds", shuffled(n, 0x5eed)).unwrap();
+        client.query("ds", vec![n / 2]).unwrap().wait().unwrap();
+        let plan = crash_at.map_or(FaultPlan::new(1), |i| FaultPlan::new(1).fatal_at(i));
+        ctx.install_fault_plan(plan.clone());
+        let _ = client.query("ds", vec![n / 4, 3 * n / 4]).unwrap().wait();
+        drop(client);
+        let _ = server.shutdown();
+        plan.attempts()
+    };
+    let attempts = session(None);
+    assert!(attempts > 8, "the refining batch does device work");
+    let mut leftovers = 0;
+    for crash_at in [
+        1,
+        attempts / 4,
+        attempts / 2,
+        3 * attempts / 4,
+        attempts - 1,
+    ] {
+        session(Some(crash_at));
+        let ctx = EmContext::new_on_disk(EmConfig::tiny(), &dir).unwrap();
+        let before = ctx.list_file_ids().unwrap();
+        let mut server = QueryServer::<u64>::start(&ctx, ServeOptions::default()).unwrap();
+        let client = server.client().unwrap();
+        let got = client.query("ds", ranks.clone()).unwrap().wait().unwrap();
+        assert_eq!(got.values, want, "crash_at={crash_at}");
+        drop(client);
+        server.shutdown().unwrap();
+
+        let cat = Catalog::open(&ctx).unwrap();
+        let idx = SplitterIndex::open(&ctx, "ds", cat.open_dataset::<u64>("ds").unwrap()).unwrap();
+        let live = idx.live_file_ids();
+        assert_eq!(ctx.list_file_ids().unwrap(), live, "crash_at={crash_at}");
+        let usage = ctx.slot_usage(&live);
+        assert_eq!(usage.leaked(), 0, "crash_at={crash_at}: {usage:?}");
+        assert_eq!(usage.used + usage.free, usage.slots, "crash_at={crash_at}");
+        leftovers += before.iter().filter(|id| !live.contains(id)).count();
+    }
+    assert!(leftovers > 0, "the crashes left files for the sweep");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every histogram percentile ladder in `snap` is monotone.
 fn monotone(snap: &MetricsSnapshot) -> bool {
     snap.samples.iter().all(|s| match &s.hist {

@@ -103,12 +103,18 @@ fn restarted_fleet_serves_sessions_from_journaled_maps() {
     // Restart: no `open` line — the dataset is routable straight from
     // the catalog's shard map journal.
     let (rc, scs) = shard_fleet_on_disk(EmConfig::tiny(), dir.join("fleet"), 4).unwrap();
+    // The router's store still lists the temporaries of the first
+    // session's registration (their slots keep valid trailers); starting
+    // the router frees them, as each shard's start frees its own.
+    assert!(!rc.list_file_ids().unwrap().is_empty());
     let mut router = Router::<u64>::start(&rc, &scs, ServeOptions::default()).unwrap();
+    assert_eq!(rc.list_file_ids().unwrap(), Vec::<u64>::new());
     let script = "rank ds 1 1000 1001 4000\nquit\n";
     let mut out = Vec::new();
     serve_session(&router, script.as_bytes(), &mut out, std::io::sink()).unwrap();
     assert_eq!(out, first, "answers must survive the fleet restart");
     router.shutdown().unwrap();
+    assert_eq!(rc.slot_usage(&[]).used, 0, "the router keeps no file");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
