@@ -1,7 +1,7 @@
 //! Canonical graph construction: symmetrize into sorted runs → merge →
 //! dedup + CSR offsets, all in sequential passes.
 
-use emcore::{EmContext, EmError, EmFile, KeyValue, Record, Result};
+use emcore::{EmContext, EmError, EmFile, KeyValue, MemCharge, Record, Result};
 use emsort::RunWriter;
 
 use crate::edge::Edge;
@@ -39,13 +39,17 @@ impl Default for BuildOptions {
 /// `v`, so vertex `v`'s neighbors occupy edge positions
 /// `offsets[v]..offsets[v+1]` and `degree(v)` is the difference — the
 /// standard CSR row index, built in the same sequential pass as the
-/// dedup.
+/// dedup. The same pass counts in-degrees per range of vertex ids: at
+/// most one block of counts, kept with the graph like its maximum
+/// degree, which tells a windowed clustering round how many edges point
+/// past a window before it reads any.
 #[derive(Debug)]
 pub struct Graph {
     edges: EmFile<Edge>,
     offsets: EmFile<u64>,
     vertices: u64,
     max_degree: u64,
+    in_ranges: InDegreeRanges,
 }
 
 impl Graph {
@@ -76,6 +80,13 @@ impl Graph {
         self.max_degree
     }
 
+    /// At least the number of edges whose `dst` is `v` or more: the
+    /// in-degrees of every range of vertex ids that reaches `v`. Exact when
+    /// `v` starts a range.
+    pub(crate) fn in_edges_from(&self, v: u64) -> u64 {
+        self.in_ranges.edges_from(v)
+    }
+
     /// Stream the offset index into a `(degree, vertex)` key/value file:
     /// the input the approximate K-partitioning buckets vertices by
     /// degree with. One sequential pass over `offsets`.
@@ -94,6 +105,37 @@ impl Graph {
             v += 1;
         }
         w.finish()
+    }
+}
+
+/// In-degree counts per range of `width` consecutive vertex ids, with
+/// `width = ⌈V / B⌉` so the counts fill at most one block. Derived state:
+/// the build's dedup pass and [`rebind_graph`]'s scan count them the same
+/// way for every graph, directed, looped or reloaded.
+#[derive(Debug)]
+struct InDegreeRanges {
+    width: u64,
+    counts: Vec<u64>,
+}
+
+impl InDegreeRanges {
+    /// Zero counts for `0..vertices`, and their charge: the pass that
+    /// fills them holds it as one more block beside its own buffers.
+    fn zeroed(ctx: &EmContext, vertices: u64) -> Result<(Self, MemCharge)> {
+        let width = vertices.div_ceil(ctx.config().block_size() as u64).max(1);
+        let ranges = vertices.div_ceil(width) as usize;
+        let charge = ctx.try_charge_words(ranges, "graph in-degree ranges")?;
+        let counts = vec![0; ranges];
+        Ok((Self { width, counts }, charge))
+    }
+
+    fn add(&mut self, e: Edge) {
+        self.counts[(e.dst / self.width) as usize] += 1;
+    }
+
+    fn edges_from(&self, v: u64) -> u64 {
+        let first = (v / self.width).min(self.counts.len() as u64) as usize;
+        self.counts[first..].iter().sum()
     }
 }
 
@@ -143,8 +185,11 @@ fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Resu
     let mut edges = ctx.writer::<Edge>()?;
     let mut offsets = ctx.writer::<u64>()?;
     let b = ctx.config().block_size();
-    // The merge leaves room for the two writers' block buffers.
+    // The merge leaves room for the two writers' block buffers. A streamed
+    // merge writes no output block of its own, so the in-degree counts
+    // take that block.
     let mut sorted = runs.stream(2 * b)?;
+    let (mut in_ranges, _counting) = InDegreeRanges::zeroed(ctx, vertices)?;
     let mut prev: Option<Edge> = None;
     let mut next_v = 0u64; // first vertex whose offset is still unwritten
     let mut count = 0u64;
@@ -164,6 +209,7 @@ fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Resu
             1
         };
         max_degree = max_degree.max(cur_degree);
+        in_ranges.add(e);
         edges.push(e)?;
         count += 1;
         prev = Some(e);
@@ -177,17 +223,20 @@ fn build_inner(ctx: &EmContext, raw: &EmFile<Edge>, opts: &BuildOptions) -> Resu
         offsets: offsets.finish()?,
         vertices,
         max_degree,
+        in_ranges,
     })
 }
 
 /// Re-attach an already-canonical edge file (e.g. reopened by id after a
 /// process restart) as a [`Graph`] over `0..vertices`, rebuilding the CSR
-/// offset index in one sequential pass. Rejects files that are not
-/// strictly `(src, dst)`-sorted or that reference vertices outside the
-/// id space — a cheap integrity check on whatever the caller reopened.
+/// offset index and the in-degree counts in one sequential pass. Rejects
+/// files that are not strictly `(src, dst)`-sorted or that reference
+/// vertices outside the id space — a cheap integrity check on whatever
+/// the caller reopened.
 pub fn rebind_graph(ctx: &EmContext, edges: EmFile<Edge>, vertices: u64) -> Result<Graph> {
     let mut offsets = ctx.writer::<u64>()?;
     let mut r = edges.reader()?;
+    let (mut in_ranges, _counting) = InDegreeRanges::zeroed(ctx, vertices)?;
     let mut prev: Option<Edge> = None;
     let mut next_v = 0u64;
     let mut count = 0u64;
@@ -218,6 +267,7 @@ pub fn rebind_graph(ctx: &EmContext, edges: EmFile<Edge>, vertices: u64) -> Resu
             1
         };
         max_degree = max_degree.max(cur_degree);
+        in_ranges.add(e);
         count += 1;
         prev = Some(e);
     }
@@ -230,6 +280,7 @@ pub fn rebind_graph(ctx: &EmContext, edges: EmFile<Edge>, vertices: u64) -> Resu
         offsets: offsets.finish()?,
         vertices,
         max_degree,
+        in_ranges,
     })
 }
 
@@ -329,6 +380,45 @@ mod tests {
         assert!(matches!(rebind_graph(&c, bad, 2), Err(EmError::Config(_))));
         let out = edges_from_pairs(&c, &[(0, 5)]).unwrap();
         assert!(matches!(rebind_graph(&c, out, 2), Err(EmError::Config(_))));
+    }
+
+    #[test]
+    fn in_degree_ranges_count_every_dst_in_build_and_rebind() {
+        // Directed, looped and symmetrized builds of one random multigraph:
+        // the counts bound the edges whose dst is v or more at every v,
+        // exactly at range starts, and a rebind of the canonical file
+        // counts the same.
+        let mut rng = emcore::SplitMix64::new(41);
+        let pairs: Vec<(u64, u64)> = (0..3000)
+            .map(|_| (rng.below(700), rng.below(700)))
+            .collect();
+        for (symmetrize, drop_self_loops) in [(true, true), (false, false), (false, true)] {
+            let opts = BuildOptions {
+                symmetrize,
+                drop_self_loops,
+                vertices: None,
+            };
+            let c = ctx();
+            let raw = edges_from_pairs(&c, &pairs).unwrap();
+            let g = build_graph(&c, &raw, &opts).unwrap();
+            let n = g.vertices();
+            let b = c.config().block_size() as u64;
+            let width = n.div_ceil(b);
+            assert_eq!(g.in_ranges.width, width);
+            assert!(g.in_ranges.counts.len() as u64 <= b, "at most one block");
+            let canon = g.edges().to_vec().unwrap();
+            for v in 0..=n {
+                let past = canon.iter().filter(|e| e.dst >= v).count() as u64;
+                let bound = g.in_edges_from(v);
+                assert!(bound >= past, "{opts:?}, v = {v}");
+                if v % width == 0 {
+                    assert_eq!(bound, past, "{opts:?}, v = {v}");
+                }
+            }
+            let edges = EmFile::from_slice(&c, &canon).unwrap();
+            let re = rebind_graph(&c, edges, n).unwrap();
+            assert_eq!(re.in_ranges.counts, g.in_ranges.counts, "{opts:?}");
+        }
     }
 
     #[test]

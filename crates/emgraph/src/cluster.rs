@@ -15,8 +15,14 @@
 //! When the governor's grant covers the whole label array (plus a
 //! max-degree scratch), the round is one sequential edge-file pass with
 //! RAM label lookups. When it does not, the label array is split into
-//! `W` windows, and each window pass streams the edge file once. The
-//! edge file is sorted by source, so a pass gathers one vertex's labels
+//! `W` windows with one pass each. The first pass streams the edge file.
+//! A pass may also write the edges whose `dst` lies past its window to a
+//! forward file, which the next pass streams instead: it does so when the
+//! graph's in-degree counts (per range of vertex ids, at most one block)
+//! put that file at no more than half the blocks of the pass's own
+//! source, so writing and re-reading it never costs more than re-reading
+//! the source. The edge file is sorted by source, and a forward file is a
+//! filtered subsequence of it, so a pass gathers one vertex's labels
 //! of resident destinations at a time in the mode scratch, sorts them,
 //! and appends one record per distinct label carrying how many of those
 //! neighbors hold it — the mode needs counts, not copies. A record stays
@@ -29,10 +35,10 @@
 //! in ascending label order straight into the mode accumulator, next to
 //! a scan of the round-start labels. The accumulator adds up the counts
 //! of equal labels, whether they come from different windows or from
-//! both sides of a cut. Nothing is written but the runs themselves. Both
-//! paths feed the same label counts to the same mode accumulator, so a
-//! squeeze at a round boundary shrinks the window — it cannot change any
-//! label.
+//! both sides of a cut. Nothing is written but the runs and the forward
+//! files. Both paths feed the same label counts to the same mode
+//! accumulator, so a squeeze at a round boundary shrinks the window — it
+//! cannot change any label.
 //!
 //! Round 1 reads no labels. From the identity labeling every neighbor
 //! label is a distinct neighbor id held once, so the mode is the smallest
@@ -286,9 +292,7 @@ fn propose_round(
     }
     let b = ctx.config().block_size();
     let max_degree = graph.max_degree() as usize;
-    // Streaming readers/writers and the mode scratch ride on top of the
-    // window; budget them out of the grant before sizing it.
-    let room = lease.granted().saturating_sub(6 * b);
+    let room = window_room(lease, b);
     let want = room.saturating_sub(max_degree).max(b).min(n as usize);
 
     if want >= n as usize {
@@ -303,12 +307,27 @@ fn propose_round(
             }
         }
     }
-    // A window costs a full edge scan, while a vertex overflowing the
-    // scratch costs only one more run: past a quarter of the room the
-    // scratch yields to the window.
+    let (window, scratch) = window_sizes(room, b, max_degree, n);
+    propose_windowed(ctx, graph, old, window, scratch, &mut emit)
+}
+
+/// Words of `lease`'s grant left for the labels and the mode scratch.
+/// Streaming readers and writers ride on top of them, so six blocks come
+/// out of the grant first; a window pass holds four (the caller's output
+/// writer, the edge reader, the run writer and the forward writer).
+fn window_room(lease: &Lease, b: usize) -> usize {
+    lease.granted().saturating_sub(6 * b)
+}
+
+/// The windowed path's label window and mode scratch, in labels, out of
+/// `room`. A window costs a scan of the edges forwarded to it (or of its
+/// source, when forwarding would not halve that), while a vertex
+/// overflowing the scratch costs only one more run: past a quarter of
+/// the room the scratch yields to the window.
+fn window_sizes(room: usize, b: usize, max_degree: usize, n: u64) -> (usize, usize) {
     let scratch = max_degree.min((room / 4).max(b));
     let window = room.saturating_sub(scratch).max(b).min(n as usize);
-    propose_windowed(ctx, graph, old, window, scratch, &mut emit)
+    (window, scratch)
 }
 
 /// Round 1's proposals from the edge file alone. From the identity
@@ -413,12 +432,21 @@ fn propose_windowed(
     Ok(())
 }
 
-/// One pass over the edge file per window of round-start labels. A pass
-/// gathers each source's labels of resident destinations in the mode
-/// scratch and, at the next source, appends one counted record per
-/// distinct label — so the pass writes one run sorted by `(vertex,
-/// label)`. A vertex whose resident labels overflow the scratch ends the
-/// run there and continues in a new one, which keeps every run sorted.
+/// One pass per window of round-start labels. A pass gathers each
+/// source's labels of resident destinations in the mode scratch and, at
+/// the next source, appends one counted record per distinct label — so
+/// the pass writes one run sorted by `(vertex, label)`. A vertex whose
+/// resident labels overflow the scratch ends the run there and continues
+/// in a new one, which keeps every run sorted.
+///
+/// The first pass streams the edge file. A pass may also forward the
+/// edges whose `dst` lies past its window to a new file, which the next
+/// pass streams instead: it does so when the graph's in-degree counts say
+/// that file takes at most half the blocks of the pass's own source, so
+/// writing and re-reading it never costs more than re-reading the source.
+/// A forward file is a filtered subsequence of the edge file, still
+/// `src`-sorted, so every pass sees its window's edges in the same order
+/// and cuts the same runs either way.
 fn window_runs(
     ctx: &EmContext,
     graph: &Graph,
@@ -434,7 +462,10 @@ fn window_runs(
     let want = scratch.min(window).max(1);
     let (mut labels, scratch) =
         ctx.try_tracked_vec_halving::<u64>(want, want.min(b), "graph mode scratch")?;
+    let per_block = graph.edges().block_capacity() as u64;
     let mut runs = Vec::new();
+    // The last forward file written; the passes after it stream it.
+    let mut forwarded: Option<EmFile<Edge>> = None;
     let mut lo = 0u64;
     while lo < n {
         let _span = ctx
@@ -447,11 +478,20 @@ fn window_runs(
             win.push(lr.next()?.ok_or_else(|| stream_underflow("label"))?);
         }
         drop(lr);
+        let source = forwarded.as_ref().unwrap_or(graph.edges());
+        let pays = hi < n && 2 * graph.in_edges_from(hi).div_ceil(per_block) <= source.num_blocks();
+        let mut forward = pays.then(|| ctx.writer::<Edge>()).transpose()?;
         let mut run = ctx.writer::<Edge>()?;
-        let mut er = graph.edges().reader()?;
+        let mut er = source.reader()?;
         let mut src = None;
         while let Some(e) = er.next()? {
-            if e.dst < lo || e.dst >= hi {
+            if e.dst >= hi {
+                if let Some(w) = forward.as_mut() {
+                    w.push(e)?;
+                }
+                continue;
+            }
+            if e.dst < lo {
                 continue;
             }
             if src != Some(e.src) {
@@ -464,9 +504,13 @@ fn window_runs(
             }
             labels.push(win[(e.dst - lo) as usize]);
         }
+        drop(er);
         append_counted(&mut labels, src, packing, &mut run)?;
         if !run.is_empty() {
             runs.push(run.finish()?);
+        }
+        if let Some(w) = forward {
+            forwarded = Some(w.finish()?);
         }
         lo = hi;
     }
@@ -600,7 +644,7 @@ mod tests {
     use super::*;
     use crate::build::{build_graph, BuildOptions};
     use crate::edge::edges_from_pairs;
-    use emcore::{EmConfig, EmContext, Record, RingSink, TraceEvent};
+    use emcore::{EmConfig, EmContext, Record, RingSink, TraceEvent, TraceReport};
 
     fn graph_on(ctx: &EmContext, pairs: &[(u64, u64)]) -> Graph {
         let raw = edges_from_pairs(ctx, pairs).unwrap();
@@ -826,8 +870,9 @@ mod tests {
         // With every vertex on one label, a window pass appends one
         // counted record per (vertex, window) however many neighbors the
         // vertex has there, so a round writes at most ⌈V / (B/2)⌉ run
-        // blocks per window plus its ⌈V / B⌉-block label file. One record
-        // per neighbor would not fit in that.
+        // blocks per window, the blocks of its forward files and its
+        // ⌈V / B⌉-block label file. One record per neighbor would not fit
+        // in that.
         let cfg = EmConfig::new(256, 16).unwrap();
         let ctx = EmContext::new_in_memory_strict(cfg);
         let ring = RingSink::new(0);
@@ -855,11 +900,294 @@ mod tests {
             .filter(|s| s.starts_with("graph/window#"))
             .count() as u64;
         assert!(windows >= 2, "the round ran windowed");
+        let passes = window_passes(&g, window_of(&ctx, &g, &lease));
+        assert_eq!(passes.len() as u64, windows);
+        let forwarded: u64 = passes.iter().map(|p| p.forward).sum();
         let half = cfg.block_size() as u64 / 2;
         let labels_out = n.div_ceil(2 * half);
-        let bound = windows * n.div_ceil(half) + labels_out;
+        let bound = windows * n.div_ceil(half) + forwarded + labels_out;
         assert!(writes <= bound, "{writes} writes > {bound}");
         assert!(g.num_edges().div_ceil(half) + labels_out > bound);
+    }
+
+    /// One window pass as `window_runs` runs it: its label range, the
+    /// blocks of the source it streams, and the blocks of the forward
+    /// file it writes (0 when it forwards none).
+    #[derive(Debug)]
+    struct Pass {
+        lo: u64,
+        hi: u64,
+        source: u64,
+        forward: u64,
+    }
+
+    /// The window passes of one windowed round over `g`, from its edges
+    /// and the one rule: a pass forwards the edges past its window when
+    /// the in-degree counts put them at no more than half its source's
+    /// blocks, and the next pass streams what it forwarded.
+    fn window_passes(g: &Graph, window: u64) -> Vec<Pass> {
+        let edges = g.edges().ctx().stats().paused(|| g.edges().to_vec());
+        let edges = edges.unwrap();
+        let per_block = g.edges().block_capacity() as u64;
+        let n = g.vertices();
+        let mut source = edges.len() as u64;
+        let mut passes = Vec::new();
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + window).min(n);
+            let past = edges.iter().filter(|e| e.dst >= hi).count() as u64;
+            let blocks = source.div_ceil(per_block);
+            let bound = g.in_edges_from(hi);
+            assert!(
+                bound >= past,
+                "the in-degree counts bound the edges past {hi}"
+            );
+            let forward = hi < n && 2 * bound.div_ceil(per_block) <= blocks;
+            passes.push(Pass {
+                lo,
+                hi,
+                source: blocks,
+                forward: if forward { past.div_ceil(per_block) } else { 0 },
+            });
+            if forward {
+                source = past;
+            }
+            lo = hi;
+        }
+        passes
+    }
+
+    /// The label window a windowed round over `g` runs with under `lease`.
+    fn window_of(ctx: &EmContext, g: &Graph, lease: &Lease) -> u64 {
+        let b = ctx.config().block_size();
+        let room = window_room(lease, b);
+        window_sizes(room, b, g.max_degree() as usize, g.vertices()).0 as u64
+    }
+
+    /// Reads and writes charged inside `graph/window#` spans so far.
+    fn window_span_ios(ring: &RingSink) -> (u64, u64) {
+        TraceReport::from_events(&ring.events())
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("graph/window#"))
+            .fold((0, 0), |(r, w), s| (r + s.delta.reads, w + s.delta.writes))
+    }
+
+    /// Label blocks the passes read to load their windows.
+    fn label_loads(passes: &[Pass], b: u64) -> u64 {
+        passes.iter().map(|p| (p.hi - 1) / b - p.lo / b + 1).sum()
+    }
+
+    #[test]
+    fn later_windows_read_only_the_edges_forwarded_to_them() {
+        // A strict, windowed R-MAT round: R-MAT puts most edges on low ids,
+        // so every pass but the last forwards, and the round reads the
+        // edge file once plus each forward file once.
+        let cfg = EmConfig::new(512, 16).unwrap();
+        let ctx = EmContext::new_in_memory_strict(cfg);
+        let ring = RingSink::new(0);
+        ctx.set_trace_sink(Box::new(ring.clone()));
+        let opts = BuildOptions {
+            vertices: Some(1024),
+            ..BuildOptions::default()
+        };
+        let raw = edges_from_pairs(&ctx, &workloads::graph::rmat_edges(10, 6000, 3)).unwrap();
+        let g = build_graph(&ctx, &raw, &opts).unwrap();
+        let lease = ctx.governor().lease("test", 0, 1).unwrap();
+        let init = initial_labels(&ctx, g.vertices()).unwrap();
+        let (start, _) = lp_round(&ctx, &g, &init, 0, true, &lease).unwrap();
+        let passes = window_passes(&g, window_of(&ctx, &g, &lease));
+        assert!(passes.len() >= 3, "{passes:?}");
+        let (last, forwarding) = passes.split_last().unwrap();
+        assert!(forwarding.iter().all(|p| p.forward > 0), "{passes:?}");
+        assert_eq!(last.forward, 0);
+
+        let (reads0, writes0) = window_span_ios(&ring);
+        let (next, _) = lp_round(&ctx, &g, &start, 0, false, &lease).unwrap();
+        let (reads1, writes1) = window_span_ios(&ring);
+        let edge_blocks = g.edges().num_blocks();
+        let forwarded: u64 = passes.iter().map(|p| p.forward).sum();
+        let edge_reads = reads1 - reads0 - label_loads(&passes, cfg.block_size() as u64);
+        assert_eq!(edge_reads, edge_blocks + forwarded, "{passes:?}");
+        assert!(writes1 - writes0 > forwarded, "runs and forward files");
+        assert!(edge_reads + forwarded < passes.len() as u64 * edge_blocks);
+
+        // The same labels as the resident path.
+        let big = EmContext::new_in_memory(EmConfig::new(1 << 16, 64).unwrap());
+        let raw = edges_from_pairs(&big, &workloads::graph::rmat_edges(10, 6000, 3)).unwrap();
+        let gb = build_graph(&big, &raw, &opts).unwrap();
+        let lease = big.governor().lease("test", 0, 1).unwrap();
+        let init = initial_labels(&big, gb.vertices()).unwrap();
+        let (start, _) = lp_round(&big, &gb, &init, 0, true, &lease).unwrap();
+        let (want, _) = lp_round(&big, &gb, &start, 0, false, &lease).unwrap();
+        assert_eq!(next.to_vec().unwrap(), want.to_vec().unwrap());
+        assert!(ctx.mem().peak() <= cfg.mem_capacity());
+    }
+
+    /// Label propagation in RAM over a canonical edge list: `rounds`
+    /// synchronous rounds from the identity labeling, with the mode's
+    /// tie-breaks and, for `cap > 0`, admission into remaining capacity
+    /// in ascending vertex order.
+    fn lp_in_ram(edges: &[Edge], n: u64, rounds: u32, cap: u64) -> Vec<u64> {
+        let mut labels: Vec<u64> = (0..n).collect();
+        for _ in 0..rounds {
+            let mut props = labels.clone();
+            for (v, prop) in props.iter_mut().enumerate() {
+                let mut seen: Vec<u64> = edges
+                    .iter()
+                    .filter(|e| e.src == v as u64)
+                    .map(|e| labels[e.dst as usize])
+                    .collect();
+                seen.sort_unstable();
+                let (mut best, mut best_count, mut own) = (labels[v], 0, 0);
+                for group in seen.chunk_by(|a, b| a == b) {
+                    if group.len() > best_count {
+                        (best, best_count) = (group[0], group.len());
+                    }
+                    if group[0] == labels[v] {
+                        own = group.len();
+                    }
+                }
+                if best_count > own {
+                    *prop = best;
+                }
+            }
+            if cap > 0 {
+                let mut size = std::collections::HashMap::new();
+                for &l in &labels {
+                    *size.entry(l).or_insert(0u64) += 1;
+                }
+                let mut movers: Vec<(u64, usize)> = (0..n as usize)
+                    .filter(|&v| props[v] != labels[v])
+                    .map(|v| (props[v], v))
+                    .collect();
+                movers.sort_unstable();
+                let mut admitted = std::collections::HashMap::new();
+                for (target, v) in movers {
+                    let taken = admitted.entry(target).or_insert(0u64);
+                    if size.get(&target).copied().unwrap_or(0) + *taken >= cap {
+                        props[v] = labels[v];
+                    } else {
+                        *taken += 1;
+                    }
+                }
+            }
+            labels = props;
+        }
+        labels
+    }
+
+    #[test]
+    fn random_graphs_forward_without_changing_labels() {
+        // SplitMix64 draws of graph shape (R-MAT, uniform, R-MAT with ids
+        // reversed so the heavy ids come last), build options, cap and
+        // M/B giving resident rounds or one to four windows. Every draw clusters three rounds
+        // on a strict context and checks the labels against the resident
+        // path and label propagation in RAM, peak ≤ M, that the passes
+        // stream the sources the rule picks, and that each windowed round
+        // costs no more than re-reading the edge file in every pass.
+        let mut rng = emcore::SplitMix64::new(0x5eed_f0e0);
+        let mut windows_seen = [0u32; 5];
+        let mut forwarded_rounds = 0;
+        for draw in 0..24 {
+            let b = [8usize, 16][rng.below(2) as usize];
+            let m = b * (16 + rng.below(17) as usize);
+            let room = m - 6 * b;
+            // The scratch takes at most a quarter of the room, so a window
+            // holds at least the rest: `n` below four such windows runs at
+            // most four, and below one runs resident or in one window.
+            let min_window = room as u64 * 3 / 4;
+            let n = rng.below(4) * min_window + 8 + rng.below(min_window - 8);
+            let scale = 64 - (n - 1).leading_zeros();
+            let edges = n * (1 + rng.below(4));
+            let shape = rng.below(3);
+            let pairs: Vec<(u64, u64)> = match shape {
+                // Half the uniform draws add a hub joined to every vertex:
+                // past a quarter of the room its degree leaves one
+                // window's worth of labels no room to run resident.
+                1 => {
+                    let hub = rng.below(2) == 0;
+                    (0..edges)
+                        .map(|_| (rng.below(n), rng.below(n)))
+                        .chain((0..n).filter(|_| hub).map(|v| (0, v)))
+                        .collect()
+                }
+                _ => workloads::graph::rmat_edges(scale, edges, rng.next_u64())
+                    .into_iter()
+                    .filter(|&(s, d)| s < n && d < n)
+                    .map(|(s, d)| match shape {
+                        2 => (n - 1 - s, n - 1 - d),
+                        _ => (s, d),
+                    })
+                    .collect(),
+            };
+            let opts = BuildOptions {
+                symmetrize: rng.below(2) == 0,
+                drop_self_loops: rng.below(2) == 0,
+                vertices: Some(n),
+            };
+            let cap = [0, 1 + rng.below(12)][rng.below(2) as usize];
+            let case =
+                format!("draw {draw}: shape {shape}, n {n}, M {m}, B {b}, {opts:?}, cap {cap}");
+
+            let cfg = EmConfig::new(m, b).unwrap();
+            let ctx = EmContext::new_in_memory_strict(cfg);
+            let ring = RingSink::new(0);
+            ctx.set_trace_sink(Box::new(ring.clone()));
+            let raw = edges_from_pairs(&ctx, &pairs).unwrap();
+            let g = build_graph(&ctx, &raw, &opts).unwrap();
+            let lease = ctx.governor().lease("test", 0, 1).unwrap();
+            let passes = window_passes(&g, window_of(&ctx, &g, &lease));
+            let mut labels = initial_labels(&ctx, n).unwrap();
+            for round in 1..=3 {
+                let before = window_span_ios(&ring);
+                let spans_before = span_names(&ring).len();
+                let (next, _) = lp_round(&ctx, &g, &labels, cap, round == 1, &lease).unwrap();
+                labels = next;
+                let windows = span_names(&ring)[spans_before..]
+                    .iter()
+                    .filter(|s| s.starts_with("graph/window#"))
+                    .count();
+                if round == 1 {
+                    continue;
+                }
+                windows_seen[windows] += 1;
+                if windows == 0 {
+                    continue;
+                }
+                assert_eq!(windows, passes.len(), "{case}");
+                let after = window_span_ios(&ring);
+                let reads = after.0 - before.0 - label_loads(&passes, b as u64);
+                let sources: u64 = passes.iter().map(|p| p.source).sum();
+                assert_eq!(reads, sources, "{case}: {passes:?}");
+                let forwarded: u64 = passes.iter().map(|p| p.forward).sum();
+                assert!(after.1 - before.1 >= forwarded, "{case}");
+                let rereads = windows as u64 * g.edges().num_blocks();
+                assert!(reads + forwarded <= rereads, "{case}: {passes:?}");
+                forwarded_rounds += usize::from(forwarded > 0);
+            }
+            assert!(ctx.mem().peak() <= m, "{case}: peak {}", ctx.mem().peak());
+            let got = labels.to_vec().unwrap();
+
+            let big = EmContext::new_in_memory(EmConfig::new(1 << 16, 64).unwrap());
+            let raw = edges_from_pairs(&big, &pairs).unwrap();
+            let gb = build_graph(&big, &raw, &opts).unwrap();
+            let lease = big.governor().lease("test", 0, 1).unwrap();
+            let mut labels = initial_labels(&big, n).unwrap();
+            for round in 1..=3 {
+                labels = lp_round(&big, &gb, &labels, cap, round == 1, &lease)
+                    .unwrap()
+                    .0;
+            }
+            assert_eq!(got, labels.to_vec().unwrap(), "{case}: resident path");
+            let canon = gb.edges().to_vec().unwrap();
+            assert_eq!(got, lp_in_ram(&canon, n, 3, cap), "{case}: in RAM");
+        }
+        assert!(
+            windows_seen.iter().all(|&c| c > 0),
+            "general rounds by window count: {windows_seen:?}"
+        );
+        assert!(forwarded_rounds > 0);
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! shared [`WorkLedger`] so a crash redoes at most one round.
 //!
 //! The only algorithm state that must survive a crash is the current
-//! label file — everything inside a round (window runs, mover and
-//! admission files, the half-written next label file) is derived and
-//! unwinds with the crash. The [`ClusterManifest`] therefore records
-//! just `(round, labels file, moves history)` plus the option echo; the
-//! ledger binds the input as `(edge file id, len, vertices)`, commits
-//! after every completed round (the new labels file persistent before
-//! the previous round's file is released), and [`ClusterManifest::load`]
-//! resumes across processes on a directory-backed context,
-//! garbage-collecting the crashed attempt's orphans.
+//! label file — everything inside a round (window runs, forward files,
+//! mover and admission files, the half-written next label file) is
+//! derived and unwinds with the crash. The [`ClusterManifest`] therefore
+//! records just `(round, labels file, moves history)` plus the option
+//! echo; the ledger binds the input as `(edge file id, len, vertices)`,
+//! commits after every completed round (the new labels file persistent
+//! before the previous round's file is released), and
+//! [`ClusterManifest::load`] resumes across processes on a
+//! directory-backed context, garbage-collecting the crashed attempt's
+//! orphans.
 
 use emcore::{
     run_recoverable, EmContext, EmError, EmFile, InputId, LedgerDoc, Manifest, RecoverableJob,

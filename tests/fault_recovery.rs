@@ -410,7 +410,52 @@ fn orphans_on_disk(c: &EmContext, live: &[u64]) -> usize {
 
 #[test]
 fn cluster_crash_sweep_exhaustive() {
-    let pairs = rmat_edges(4, 40, 7);
+    cluster_crash_sweep(&rmat_edges(4, 40, 7));
+}
+
+#[test]
+fn windowed_cluster_crash_sweep_exhaustive() {
+    // 250 vertices at `EmConfig::tiny()`: every round after the first runs
+    // three windows, and the passes before the last forward the edges past
+    // their window, so the sweep crashes inside window passes, forward
+    // files, runs and drains.
+    let pairs = rmat_edges(8, 600, 7);
+    let c = EmContext::new_in_memory(EmConfig::tiny());
+    let ring = RingSink::new(0);
+    c.set_trace_sink(Box::new(ring.clone()));
+    let raw = edges_from_pairs(&c, &pairs).unwrap();
+    let g = build_graph(&c, &raw, &BuildOptions::default()).unwrap();
+    cluster(
+        &g,
+        &ClusterOptions {
+            rounds: 3,
+            max_cluster_size: 0,
+        },
+    )
+    .unwrap();
+    let report = TraceReport::from_events(&ring.events());
+    let windows: Vec<_> = report
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("graph/window#"))
+        .collect();
+    assert!(
+        windows.iter().any(|s| s.name == "graph/window#2"),
+        "three windows"
+    );
+    // A pass after the first that reads fewer blocks than the edge file
+    // streams a forward file.
+    let edge_blocks = g.edges().num_blocks();
+    assert!(windows
+        .iter()
+        .any(|s| s.name != "graph/window#0" && s.delta.reads < edge_blocks));
+    cluster_crash_sweep(&pairs);
+}
+
+/// Crash a three-round clustering of `pairs` at every device attempt of
+/// the fault-free run on disk: each crash resumes once, reproduces the
+/// digest, redoes no more than the largest work unit and leaks no slot.
+fn cluster_crash_sweep(pairs: &[(u64, u64)]) {
     let opts = ClusterOptions {
         rounds: 3,
         max_cluster_size: 0,
@@ -419,7 +464,7 @@ fn cluster_crash_sweep_exhaustive() {
     // clustering's own device attempts.
     let setup = |plan: &FaultPlan| {
         let c = EmContext::new_on_disk_temp(EmConfig::tiny()).unwrap();
-        let raw = edges_from_pairs(&c, &pairs).unwrap();
+        let raw = edges_from_pairs(&c, pairs).unwrap();
         let g = build_graph(&c, &raw, &BuildOptions::default()).unwrap();
         c.install_fault_plan(plan.clone());
         (c, raw, g)

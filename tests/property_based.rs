@@ -8,7 +8,7 @@
 //! master seed always replays the same cases.
 
 use em_splitters::prelude::*;
-use emcore::{Indexed, SplitMix64};
+use emcore::{Indexed, KeyValue, SplitMix64};
 
 const CASES: usize = 48;
 const MASTER_SEED: u64 = 0x5eed_ca5e;
@@ -188,4 +188,98 @@ fn memory_budget_never_exceeded() {
         assert_eq!(parts.len(), k as usize, "case {case}");
         assert!(c.mem().peak() <= c.mem().capacity(), "case {case}");
     }
+}
+
+#[test]
+fn entry_points_verify_on_random_geometries() {
+    // Random B and M/B ≥ 16 on strict contexts, over `u64` and `KeyValue`
+    // records with distinct or duplicate-heavy keys: on every draw the
+    // partitioning and the splitters verify against the spec, the
+    // partitions hold the input's multiset, and peak ≤ M. Splitters are
+    // input elements, so duplicate-heavy draws find them over `Indexed`
+    // records, whose keys are distinct.
+    let mut rng = SplitMix64::new(MASTER_SEED ^ 7);
+    for case in 0..CASES {
+        let block = 4usize << rng.below(4);
+        let m = block * (16 + rng.below(49) as usize);
+        let (n, k, a, b, seed) = gen_instance(&mut rng);
+        let spec = ProblemSpec::new(n, k, a, b).unwrap();
+        let dups = rng.below(2) == 0;
+        let wl = if dups {
+            Workload::FewDistinct {
+                values: 1 + rng.below(16),
+            }
+        } else {
+            Workload::UniformPerm
+        };
+        let keys = workloads::generate(wl, n, seed);
+        let cfg = EmConfig::new(m, block).unwrap();
+        let case = format!("case {case}: M = {m}, B = {block}, {spec}, {wl:?}");
+        if rng.below(2) == 0 {
+            verify_draw(cfg, &keys, &spec, dups, |&x| (x, 0), &case);
+        } else {
+            let records: Vec<KeyValue> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| KeyValue {
+                    key,
+                    value: i as u64,
+                })
+                .collect();
+            let pair = |r: &KeyValue| (r.key, r.value);
+            verify_draw(cfg, &records, &spec, dups, pair, &case);
+        }
+    }
+}
+
+/// Partition and split `data` on a strict context with `cfg`, and check
+/// both against `spec`, the partitions' multiset (compared as `pair`s)
+/// and peak ≤ M. With `dups` the splitters run over `Indexed` records.
+fn verify_draw<T: Record>(
+    cfg: EmConfig,
+    data: &[T],
+    spec: &ProblemSpec,
+    dups: bool,
+    pair: impl Fn(&T) -> (u64, u64),
+    case: &str,
+) {
+    let c = EmContext::new_in_memory_strict(cfg);
+    let file = c.stats().paused(|| EmFile::from_slice(&c, data)).unwrap();
+    let parts = approx_partitioning(&file, spec).unwrap();
+    let rep = verify_partitioning(&parts, spec).unwrap();
+    assert!(rep.ok, "{case}: {rep:?}");
+    let mut got: Vec<(u64, u64)> = Vec::new();
+    for p in &parts {
+        got.extend(p.to_vec().unwrap().iter().map(&pair));
+    }
+    got.sort_unstable();
+    let mut want: Vec<(u64, u64)> = data.iter().map(&pair).collect();
+    want.sort_unstable();
+    assert_eq!(got, want, "{case}: multiset");
+    drop(parts);
+
+    if dups {
+        let indexed: Vec<Indexed<T>> = data
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| Indexed::new(r, i as u64))
+            .collect();
+        let file = c.stats().paused(|| EmFile::from_slice(&c, &indexed));
+        verify_splitter_sizes(&file.unwrap(), spec, case);
+    } else {
+        verify_splitter_sizes(&file, spec, case);
+    }
+    assert!(
+        c.mem().peak() <= cfg.mem_capacity(),
+        "{case}: peak {}",
+        c.mem().peak()
+    );
+}
+
+/// `approx_splitters` of `file` for `spec`, checked against the spec.
+fn verify_splitter_sizes<T: Record>(file: &EmFile<T>, spec: &ProblemSpec, case: &str) {
+    let sp = approx_splitters(file, spec).unwrap();
+    assert_eq!(sp.len(), (spec.k - 1) as usize, "{case}");
+    let rep = verify_splitters(file, &sp, spec).unwrap();
+    assert!(rep.ok, "{case}: splitter sizes {:?}", rep.sizes);
 }
