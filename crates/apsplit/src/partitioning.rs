@@ -9,11 +9,19 @@
 //! * **Left-grounded** (`a = 0`): multi-partition into `⌈N/b⌉` parts of
 //!   size `b` (last partial), pad with empty partitions —
 //!   `O((N/B)·lg_{M/B} min{N/b, N/B})` I/Os.
-//! * **Two-sided**: mirror of the two-sided splitters algorithm with
-//!   multi-selection replaced by multi-partition.
+//! * **Two-sided**: in the easy case (`a ≥ N/2K` or `b ≤ 2N/K`, or
+//!   `K' ∉ (0, K)`) any sizes in `[a, b]` will do, so
+//!   [`multi_partition_within`] chooses them after its first distribution
+//!   level, mostly at bucket ends, and reads again only the buckets a cut
+//!   falls inside. Without slack (`b − a ≤ 1`) or in memory it keeps the
+//!   exact quantile cuts. Otherwise it mirrors the two-sided splitters
+//!   algorithm with multi-selection replaced by multi-partition, at the
+//!   fixed sizes `[a × K'] ++ near-even`.
 
 use emcore::{EmFile, Record, Result};
-use emselect::{multi_partition_segs, multi_partition_with, MpOptions, Partition};
+use emselect::{
+    multi_partition_segs, multi_partition_with, multi_partition_within, MpOptions, Partition,
+};
 
 use crate::spec::{Groundedness, ProblemSpec};
 use crate::splitters::{check_input, split_lowest};
@@ -37,12 +45,14 @@ fn near_even(n: u64, k: u64) -> Vec<u64> {
     sizes
 }
 
-/// The exact partition sizes [`approx_partitioning_with`] realises for
-/// `spec`, independent of which physical strategy the dispatch picks.
-/// Every size is in `[a, b]` (zeros only when `a = 0`). The recoverable
-/// path ([`crate::recover`]) re-derives its binary split tree from these,
-/// so they are the contract between the two implementations
-/// (`sizes_match_target_sizes` in this module's tests enforces it).
+/// The fixed partition sizes for `spec`: what the recoverable path
+/// ([`crate::recover`]) realises with its binary split tree, and what
+/// [`approx_partitioning_with`] realises for every spec except a two-sided
+/// one that [`multi_partition_within`] serves with `b − a ≥ 2` on an input
+/// larger than memory. There these near-even sizes are the fallback its
+/// cut choice is measured against. Every size is in `[a, b]` (zeros only
+/// when `a = 0`); `sizes_match_target_sizes` in this module's tests pins
+/// which specs keep them.
 pub(crate) fn target_sizes(spec: &ProblemSpec) -> Vec<u64> {
     match spec.groundedness() {
         Groundedness::RightGrounded => {
@@ -150,13 +160,19 @@ fn two_sided<T: Record>(
     spec: &ProblemSpec,
     opts: PartitionOptions,
 ) -> Result<Partitioning<T>> {
+    // Any sizes in [a, b] will do: choose them where the first level
+    // already cut the input.
+    let within = || {
+        let segs = std::slice::from_ref(input);
+        multi_partition_within(input.ctx(), segs, spec.k, spec.a, spec.b, opts)
+    };
     if spec.quantile_suffices() {
-        return multi_partition_with(input, &near_even(spec.n, spec.k), opts);
+        return within();
     }
     let k = spec.k;
     let kp = spec.k_prime();
     if kp == 0 || kp >= k {
-        return multi_partition_with(input, &near_even(spec.n, spec.k), opts);
+        return within();
     }
     // One combined multi-partition with sizes [a × K'] ++
     // near_even(N − aK', K − K') realises the same output as the paper's
@@ -193,7 +209,8 @@ fn two_sided<T: Record>(
 mod tests {
     use super::*;
     use crate::verify::verify_partitioning;
-    use emcore::{EmConfig, EmContext};
+    use emcore::{EmConfig, EmContext, SplitMix64};
+    use workloads::{generate, Workload};
 
     fn strict_ctx() -> EmContext {
         EmContext::new_in_memory_strict(EmConfig::tiny())
@@ -273,16 +290,20 @@ mod tests {
 
     #[test]
     fn sizes_match_target_sizes() {
-        // target_sizes is the contract the recoverable path builds on:
-        // whatever strategy the dispatch picks must realise exactly these.
-        for &(n, k, a, b, seed) in &[
-            (4000, 8, 10, 4000, 41),  // right-grounded
-            (4000, 8, 0, 900, 42),    // left-grounded (with empty padding)
-            (4000, 8, 450, 600, 43),  // two-sided, quantile easy
-            (4000, 8, 2, 3000, 44),   // two-sided, hard
-            (8000, 16, 3, 3900, 45),  // two-sided, split-lowest regime
-            (4096, 16, 256, 256, 46), // exact
-            (100, 1, 0, 100, 47),     // K = 1
+        // target_sizes is what the recoverable path realises. The dispatch
+        // realises exactly these too, except where they are near-even for a
+        // two-sided spec with b − a ≥ 2 on an input larger than memory:
+        // there the sizes are chosen after the first level and need only
+        // lie in [a, b].
+        for &(n, k, a, b, seed, fixed) in &[
+            (4000, 8, 10, 4000, 41, true),  // right-grounded
+            (4000, 8, 0, 900, 42, true),    // left-grounded (with empty padding)
+            (4000, 8, 450, 600, 43, false), // two-sided, quantile easy
+            (4000, 8, 2, 3000, 44, true),   // two-sided, hard
+            (8000, 16, 3, 3900, 45, true),  // two-sided, split-lowest regime
+            (4096, 16, 256, 256, 46, true), // exact
+            (4001, 8, 500, 501, 48, true),  // near_even(4001, 8), b − a = 1
+            (100, 1, 0, 100, 47, true),     // K = 1
         ] {
             let c = strict_ctx();
             let spec = ProblemSpec::new(n, k, a, b).unwrap();
@@ -292,7 +313,103 @@ mod tests {
                 .unwrap();
             let parts = approx_partitioning(&f, &spec).unwrap();
             let got: Vec<u64> = parts.iter().map(|p| p.len()).collect();
-            assert_eq!(got, target_sizes(&spec), "{spec}");
+            if fixed {
+                assert_eq!(got, target_sizes(&spec), "{spec}");
+            } else {
+                assert_eq!(got.len() as u64, k, "{spec}");
+                assert_eq!(got.iter().sum::<u64>(), n, "{spec}");
+                assert!(got.iter().all(|s| (a..=b).contains(s)), "{spec}: {got:?}");
+            }
+        }
+        assert_eq!(
+            ProblemSpec::near_even(4001, 8).unwrap(),
+            ProblemSpec::new(4001, 8, 500, 501).unwrap()
+        );
+    }
+
+    #[test]
+    fn slack_cuts_verify_repeat_and_cost_no_more_than_fixed_sizes() {
+        // Random geometries and quantile-sufficient specs with b − a ≥ 2:
+        // the sizes chosen after the first level verify, keep the
+        // multiset, stay within M, repeat on a second run, and never cost
+        // more than partitioning at the fixed near-even sizes.
+        let mut rng = SplitMix64::new(0x51AC);
+        for draw in 0..24u64 {
+            let n = 2_000 + rng.below(58_001);
+            let block = 4 + rng.below(61) as usize;
+            let m = block * (16 + rng.below(49) as usize);
+            let cfg = EmConfig::new(m, block).unwrap();
+            let probe = EmContext::new_in_memory_strict(cfg);
+            let f = emselect::max_distribution_fanout_now::<u64>(&probe)
+                .min(emselect::max_deterministic_fanout_n::<u64>(&probe, n))
+                .max(2) as u64;
+            let k = 2 + rng.below(3 * f - 1);
+            let (a, b) = if rng.below(2) == 0 {
+                // a ≥ N/2K: b free above ⌈N/K⌉.
+                let lo = n.div_ceil(2 * k);
+                let a = lo + rng.below(n / k - lo + 1);
+                let b = n.div_ceil(k).max(a + 2) + rng.below(4 * n / k);
+                (a, b.min(n - 1))
+            } else {
+                // b ≤ 2N/K (and below N when K = 2): a free below ⌊N/K⌋.
+                let b = (n.div_ceil(k) + rng.below(2 * n / k - n.div_ceil(k) + 1)).min(n - 1);
+                (1 + rng.below((n / k).min(b - 2)), b)
+            };
+            let spec = ProblemSpec::new(n, k, a, b).unwrap();
+            assert!(spec.quantile_suffices() && b - a >= 2, "{spec}");
+            assert_eq!(spec.groundedness(), Groundedness::TwoSided, "{spec}");
+            let keys = if draw % 2 == 0 {
+                Workload::UniformPerm
+            } else {
+                Workload::FewDistinct {
+                    values: 2 + rng.below(64),
+                }
+            };
+            let data = generate(keys, n, draw);
+            let opts = if draw % 4 < 2 {
+                PartitionOptions::default()
+            } else {
+                PartitionOptions {
+                    strategy: emselect::SplitterStrategy::Deterministic,
+                    fanout_override: None,
+                }
+            };
+            let what = format!("draw {draw} (M={m}, B={block}, {spec}, {keys:?})");
+            // Partition a fresh copy of the input; returns sizes and I/Os.
+            let run = |fixed: bool| -> (Vec<u64>, u64) {
+                let c = EmContext::new_in_memory_strict(cfg);
+                let file = c.stats().paused(|| EmFile::from_slice(&c, &data)).unwrap();
+                let before = c.stats().snapshot();
+                let parts = if fixed {
+                    multi_partition_with(&file, &target_sizes(&spec), opts)
+                } else {
+                    approx_partitioning_with(&file, &spec, opts)
+                }
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let ios = c.stats().snapshot().since(&before).total_ios();
+                assert!(c.mem().peak() <= m, "{what}: peak {}", c.mem().peak());
+                let report = c
+                    .stats()
+                    .paused(|| verify_partitioning(&parts, &spec))
+                    .unwrap();
+                assert!(report.ok, "{what}: {report:?}");
+                let mut all = Vec::new();
+                for p in &parts {
+                    all.extend(c.stats().paused(|| p.to_vec()).unwrap());
+                }
+                all.sort_unstable();
+                let mut want = data.clone();
+                want.sort_unstable();
+                assert!(all == want, "{what}: multiset");
+                (report.sizes, ios)
+            };
+            let (sizes, ios) = run(false);
+            assert_eq!(run(false).0, sizes, "{what}: second run");
+            let (_, fixed_ios) = run(true);
+            assert!(
+                ios <= fixed_ios,
+                "{what}: {ios} I/Os, {fixed_ios} at the fixed sizes"
+            );
         }
     }
 

@@ -2,10 +2,15 @@
 //!
 //! [`crate::approx_partitioning`] (paper §5.2, Theorem 6) builds its whole
 //! output inside one recursion; a fatal fault unwinds everything. This
-//! module realises the *same partition sizes* — the contract captured by
-//! `partitioning::target_sizes` — through a binary split tree whose every
+//! module realises the fixed partition sizes of
+//! `partitioning::target_sizes` through a binary split tree whose every
 //! step is checkpointed to a durable [`emcore::Journal`] in a
 //! [`PartitionManifest`], so a crash redoes at most one in-flight split.
+//! They are the sizes [`crate::approx_partitioning`] realises too, except
+//! where it would take near-even sizes for a two-sided spec with
+//! `b − a ≥ 2` on an input larger than memory: there it picks sizes in
+//! `[a, b]` at its first distribution level's bucket ends, which a split
+//! tree never sees, so this path keeps the fixed ones.
 //!
 //! ## Work units
 //!
@@ -196,8 +201,9 @@ impl<T: Record> RecoverableJob for PartitionJob<'_, T> {
 }
 
 /// One-shot recoverable approximate partitioning with default options —
-/// realises exactly the sizes of [`crate::approx_partitioning`], with
-/// checkpointing overhead. Use [`PartitionManifest::new`] +
+/// realises the fixed sizes of `partitioning::target_sizes` (see the
+/// module docs for where [`crate::approx_partitioning`] departs from
+/// them), with checkpointing overhead. Use [`PartitionManifest::new`] +
 /// [`PartitionJob`] + [`emcore::run_recoverable`] directly to keep the
 /// manifest across failures.
 pub fn approx_partitioning_recoverable<T: Record>(

@@ -80,9 +80,9 @@ impl ProblemSpec {
     /// `b = ⌈N/K⌉`. For any `1 ≤ k ≤ n` this passes [`ProblemSpec::new`]'s
     /// feasibility check (`⌊n/k⌋·k ≤ n ≤ ⌈n/k⌉·k`) and always satisfies
     /// [`ProblemSpec::quantile_suffices`] (`2·⌊n/k⌋·k ≥ n` whenever
-    /// `n ≥ k`), so partitioning resolves to exact `1/K`-quantile cuts —
-    /// the spec a shard builder wants: near-even shards with no slack to
-    /// negotiate.
+    /// `n ≥ k`), and `b − a ≤ 1` leaves no sizes to choose, so
+    /// partitioning resolves to exact `1/K`-quantile cuts — the spec a
+    /// shard builder wants: near-even shards with no slack to negotiate.
     pub fn near_even(n: u64, k: u64) -> Result<Self> {
         if k == 0 {
             return Err(EmError::config("K must be at least 1"));

@@ -258,6 +258,9 @@ pub fn ex_partition_two_sided(scale: Scale) -> Table {
         (n / (4 * k), n / 2),
         (n / (2 * k), n / k + 1),
         (16, 16 * n / k),
+        // Room on both sides of N/K: the sizes are chosen at the first
+        // level's bucket ends.
+        (n / (2 * k), 2 * n / k),
     ];
     for (a, b) in grid {
         let (ctx, f) = fresh_input(n);

@@ -9,7 +9,7 @@
 //! | in-memory selection [BFPRT 1973] | [`select_rank_in_mem`], [`multi_select_in_mem`], [`median_of_five`] |
 //! | Hu et al.\[6\] linear-I/O Θ(M)-splitters (black box) | [`sample_splitters`] (deterministic, randomized and stratified; see DESIGN.md substitutions) |
 //! | distribution step of [Aggarwal & Vitter 1988] | [`distribute`], [`three_way_split`] |
-//! | multi-partition, `O((N/B)·lg_{M/B} K)` (§1.2) | [`multi_partition`], [`multi_partition_at_ranks`] |
+//! | multi-partition, `O((N/B)·lg_{M/B} K)` (§1.2) | [`multi_partition`], [`multi_partition_at_ranks`]; sizes anywhere in `[a, b]` (§5.2): [`multi_partition_within`] |
 //! | **L-intermixed selection** (§4.1, Lemma 6), `O(|D|/B)` | [`intermixed_select`] |
 //! | **multi-selection** (§4.2, Theorem 4), `O((N/B)·lg_{M/B}(K/B))` | [`multi_select`], [`select_rank`], [`quantiles`] |
 //!
@@ -49,7 +49,7 @@ pub use internal::{median_of_five, multi_select_in_mem, select_rank_in_mem};
 pub use internal_bounds::{multi_partition_counting, multi_select_counting, CmpCounter};
 pub use multi_partition::{
     multi_partition, multi_partition_at_ranks, multi_partition_segs, multi_partition_with,
-    MpOptions,
+    multi_partition_within, MpOptions,
 };
 pub use multi_select::{
     base_case_capacity, multi_select, multi_select_segs, multi_select_window, multi_select_with,

@@ -295,3 +295,43 @@ fn quantiles_at_many_ranks_cost_about_a_sort() {
     }
     assert!(ctx.mem().peak() <= m, "peak {}", ctx.mem().peak());
 }
+
+#[test]
+fn slack_partitioning_costs_about_one_distribution_pass() {
+    // Theorem 6's two-sided cell with room to spare: any sizes in [a, b]
+    // will do, so the cuts go to the first level's bucket ends and only
+    // the few buckets a cut falls inside are read again. One sample and
+    // one distribution pass cost about two scans; exact 1/K-quantile cuts
+    // open every bucket and cost two more.
+    let (n, m, b) = (200_000u64, 16_384, 256);
+    let cfg = EmConfig::new(m, b).unwrap();
+    let scan = n.div_ceil(b as u64) as f64;
+    for (k, a, hi) in [(64u64, n / 128, n / 32), (32, n / 64, n / 16)] {
+        let ctx = EmContext::new_in_memory_strict(cfg);
+        let input = ctx
+            .stats()
+            .paused(|| materialize(&ctx, Workload::UniformPerm, n, 11))
+            .unwrap();
+        let spec = ProblemSpec::new(n, k, a, hi).unwrap();
+        let before = ctx.stats().snapshot();
+        let parts = approx_partitioning(&input, &spec).unwrap();
+        let ios = ctx.stats().snapshot().since(&before).total_ios() as f64;
+        let rep = ctx
+            .stats()
+            .paused(|| verify_partitioning(&parts, &spec))
+            .unwrap();
+        assert!(rep.ok, "{spec}: {rep:?}");
+        let bound = apsplit::bounds::partitioning_two_sided(cfg, n, k, a, hi);
+        assert!(
+            ios <= 2.5 * scan,
+            "{spec}: {ios} I/Os = {:.2} scans",
+            ios / scan
+        );
+        assert!(
+            ios <= 2.0 * bound,
+            "{spec}: {ios} I/Os = {:.2}× the bound {bound:.0}",
+            ios / bound
+        );
+        assert!(ctx.mem().peak() <= m, "{spec}: peak {}", ctx.mem().peak());
+    }
+}
