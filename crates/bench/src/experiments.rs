@@ -15,7 +15,7 @@ use emselect::{
 };
 use workloads::{materialize, Workload};
 
-use crate::harness::{bench_config, bench_ctx, emit, fnum, measure, Scale, Table};
+use crate::harness::{bench_config, bench_ctx, fnum, measure, Scale, Table};
 
 const SEED: u64 = 20140623; // SPAA'14 started June 23, 2014
 
@@ -1076,45 +1076,13 @@ pub fn ex_parallel(scale: Scale) -> Table {
     t
 }
 
-/// Run every experiment and emit all tables.
-pub fn all_experiments(scale: Scale) -> Vec<Table> {
-    let tables = vec![
-        table1(scale),
-        ex_splitters_right(scale),
-        ex_splitters_left(scale),
-        ex_splitters_two_sided(scale),
-        ex_partition_right(scale),
-        ex_partition_left(scale),
-        ex_partition_two_sided(scale),
-        ex_separation(scale),
-        ex_vs_sort(scale),
-        ex_base_case(scale),
-        ex_lower_bounds(scale),
-        ex_ablation_sampling(scale),
-        ex_ablation_fanout(scale),
-        ex_ablation_engine(scale),
-        ex_internal_memory(scale),
-        ex_vs_sort_scaling(scale),
-        ex_geometry(scale),
-        ex_reduction(scale),
-        ex_fault_overhead(scale),
-        ex_parallel(scale),
-        crate::serve_bench::ex_serve(scale),
-        crate::crash_sweep::ex_recovery(scale),
-    ];
-    for t in &tables {
-        emit(t);
-    }
-    tables
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Smoke-test the cheap experiments end to end at a tiny scale by
     // monkey-scaling through Scale::Quick. These guard the harness
-    // plumbing; full runs happen via the binaries.
+    // plumbing; full runs happen via the `all_experiments` runner.
 
     #[test]
     fn table1_runs_and_beats_sort() {

@@ -17,11 +17,16 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the environment.
-    pub fn from_env() -> Self {
-        match std::env::var("EM_BENCH_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+    /// Parse a value of `EM_BENCH_SCALE`: unset or `quick` is
+    /// [`Scale::Quick`], `full` or `FULL` is [`Scale::Full`]. Anything
+    /// else is an error, so a typo cannot quietly run the quick suite.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("quick") => Ok(Scale::Quick),
+            Some("full" | "FULL") => Ok(Scale::Full),
+            Some(v) => Err(format!(
+                "EM_BENCH_SCALE={v:?}: expected `quick`, `full` or `FULL`"
+            )),
         }
     }
 
@@ -72,6 +77,9 @@ pub struct Table {
     pub phases: Vec<Vec<(String, Counters)>>,
     /// Free-form notes printed under the table.
     pub notes: Vec<String>,
+    /// Cells that broke the campaign's contract. Any nonzero count fails
+    /// the run, after every table has been written.
+    pub failed: u64,
 }
 
 impl Table {
@@ -84,6 +92,7 @@ impl Table {
             rows: Vec::new(),
             phases: Vec::new(),
             notes: Vec::new(),
+            failed: 0,
         }
     }
 
@@ -280,10 +289,17 @@ mod tests {
 
     #[test]
     fn scale_default_quick() {
-        // Unless the env var is set by the test environment.
-        if std::env::var("EM_BENCH_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Quick);
-        }
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
         assert!(Scale::Full.n() > Scale::Quick.n());
+    }
+
+    #[test]
+    fn scale_rejects_unknown_values() {
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("FULL")), Ok(Scale::Full));
+        for typo in ["ful", "Full", "QUICK", "", " full"] {
+            assert!(Scale::parse(Some(typo)).is_err(), "{typo:?} accepted");
+        }
     }
 }

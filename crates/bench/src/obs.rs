@@ -21,8 +21,8 @@
 //! A background [`emcore::Sampler`] scrapes the chaos cell live; the
 //! campaign re-parses its JSONL series to prove the time-series pipeline
 //! observes the breaker lifecycle. Like the other campaigns it reports
-//! rather than panics: sick cells flip audit columns to `NO` and the
-//! binary exits nonzero.
+//! rather than panics: sick cells flip audit columns to `NO` and count as
+//! failed cells of the table.
 
 use std::time::Duration;
 
@@ -32,7 +32,7 @@ use emcore::{
 };
 use emserve::{QueryOptions, QueryServer, ServeOptions, Ticket};
 
-use crate::harness::{emit, Scale, Table};
+use crate::harness::{Scale, Table};
 
 const SEED: u64 = 20140623;
 
@@ -446,7 +446,7 @@ pub fn warm_cold_cell(n: u64, device_latency_us: u64) -> ObsOutcome {
 }
 
 /// EX-OBS: the three observability cells as a table.
-pub fn ex_obs(scale: Scale) -> (Table, Vec<ObsOutcome>) {
+pub fn ex_obs(scale: Scale) -> Table {
     let (n_chaos, n_squeeze, n_cold, latency_us) = match scale {
         Scale::Quick => (3_000u64, 8_000u64, 8_000u64, 150u64),
         Scale::Full => (20_000, 40_000, 40_000, 300),
@@ -467,15 +467,13 @@ pub fn ex_obs(scale: Scale) -> (Table, Vec<ObsOutcome>) {
             "ok",
         ],
     );
-    let cells = vec![
+    for o in [
         chaos_scrape_cell(n_chaos),
         squeeze_scrape_cell(n_squeeze),
         warm_cold_cell(n_cold, latency_us),
-    ];
-    let mut sick = 0u64;
-    for o in &cells {
+    ] {
         if !o.clean() {
-            sick += 1;
+            t.failed += 1;
             eprintln!("[EX-OBS] sick cell: {o:?}");
         }
         let yn = |b: bool| if b { "yes" } else { "NO" }.to_string();
@@ -496,20 +494,7 @@ pub fn ex_obs(scale: Scale) -> (Table, Vec<ObsOutcome>) {
     t.note("monotone: p50 ≤ p90 ≤ p99 ≤ p99.9 ≤ max for every histogram in every scrape");
     t.note("breaker_ok: gauge seen Open while crashed and Closed after the heal; trip/restore counters equal the server report");
     t.note("warm-vs-cold: phases isolated from one live histogram via since(); warm p99 must be strictly below cold p99 under a throttled device");
-    if sick > 0 {
-        t.note(format!("SICK CELLS: {sick} (see stderr)"));
-    }
-    (t, cells)
-}
-
-/// Run the campaign, emit the table (stdout + `bench_results/EX-OBS.csv`),
-/// and report whether every cell was clean (the `metrics_obs` binary and
-/// the CI metrics-smoke job gate on this).
-pub fn run_obs(scale: Scale) -> (Vec<ObsOutcome>, bool) {
-    let (t, cells) = ex_obs(scale);
-    emit(&t);
-    let clean = cells.iter().all(|o| o.clean());
-    (cells, clean)
+    t
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use emserve::{
     shard_fleet_in_memory, QueryServer, QueryService, Router, ServeOptions, ServiceTicket,
 };
 
-use crate::harness::{bench_config, emit, Scale, Table};
+use crate::harness::{bench_config, Scale, Table};
 
 const SEED: u64 = 20140624;
 
@@ -270,14 +270,13 @@ pub fn ex_shard(scale: Scale) -> Table {
             "conserved",
         ],
     );
-    let mut sick = 0u64;
     for &clients in &client_waves {
         for o in [
             single_cell(clients, n, per_client),
             fleet_cell(8, clients, n, per_client),
         ] {
             if !o.clean() {
-                sick += 1;
+                t.failed += 1;
                 eprintln!("[EX-SHARD] sick cell: {o:?}");
             }
             t.row(vec![
@@ -300,19 +299,7 @@ pub fn ex_shard(scale: Scale) -> Table {
     t.note("every exact answer is compared bit-for-bit against the one-store oracle (rank r of the shuffled permutation is r−1); any mismatch, error, or degraded answer under this clean schedule marks the cell sick");
     t.note("conservation is asserted in-harness per cell: family_total(em_serve_query_e2e_us) on the fleet-shared registry == merged ServeReport queries across all shards");
     t.note("build_ios counts the splitter-partitioned shard build (fleet) or plain registration (single); query_ios and ios/query cover only the client wave");
-    if sick > 0 {
-        t.note(format!("SICK CELLS: {sick} (see stderr)"));
-    }
     t
-}
-
-/// Run the campaign, emit the table, and report whether every cell was
-/// clean (used by the `shard_bench` binary and the CI smoke job).
-pub fn run_shard(scale: Scale) -> (Table, bool) {
-    let t = ex_shard(scale);
-    emit(&t);
-    let clean = !t.notes.iter().any(|s| s.starts_with("SICK CELLS"));
-    (t, clean)
 }
 
 #[cfg(test)]
